@@ -26,11 +26,8 @@ from .model import (
     CommittedHistory,
     ExecutionTrace,
     TransactionProgram,
-    concurrent,
     derive_history,
     happened_before,
-    intervals,
-    step_depths,
     txn_depth,
 )
 
@@ -236,7 +233,7 @@ def check_weak_progress(traces: list[ExecutionTrace]) -> Verdict:
                     "weak-progress", False,
                     witness={"trace": idx, "txn": t, "reason": "undecided"},
                 )
-            solo = all(o == t or not concurrent(trace, t, o) for o in ids)
+            solo = all(o == t or not trace.index.concurrent(t, o) for o in ids)
             if solo and resp.outcome != "commit":
                 return Verdict(
                     "weak-progress", False,
@@ -403,29 +400,15 @@ def check_ddap(trace: ExecutionTrace) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_partial_depths(trace: ExecutionTrace, txn: str) -> list[int]:
-    """partialDepth of every prefix length 0..n, in one pass."""
-    resp = trace.coordinator_response(txn)
-    depths = step_depths(trace)
-    hb = happened_before(trace)
-    pd = [0] * (len(trace.steps) + 1)
-    cur = 0
-    for length in range(1, len(trace.steps) + 1):
-        s = trace.steps[length - 1]
-        if s.txn == txn and depths[s.i] is not None and (s.i, resp.i) in hb:
-            cur = max(cur, depths[s.i])
-        pd[length] = cur
-    return pd
-
-
 def _learning_notes(trace: ExecutionTrace, txn: str) -> list[tuple[int, int]]:
     """(step index, step depth) of every valueLearned note, in trace order."""
-    depths = step_depths(trace)
-    return [
-        (s.i, depths[s.i])
-        for s in trace.steps
-        if s.kind == NOTE and s.txn == txn and s.tag == VALUE_LEARNED
-    ]
+    index = trace.index
+    notes = []
+    for i in index.txn_steps[txn]:
+        s = trace.steps[i]
+        if s.kind == NOTE and s.tag == VALUE_LEARNED:
+            notes.append((i, index.depths[i]))
+    return notes
 
 
 def check_fast_decision(trace: ExecutionTrace) -> Verdict:
@@ -436,24 +419,26 @@ def check_fast_decision(trace: ExecutionTrace) -> Verdict:
     if not crash_free:
         return Verdict("fast-decision", False,
                        witness={"reason": "trace is not failure-free"})
+    index = trace.index
     results = []
-    for txn in trace.txns():
+    for txn in index.txn_steps:
         resp = trace.coordinator_response(txn)
         if resp is None:
             continue
-        others = [t for t in trace.txns() if t != txn]
-        if any(concurrent(trace, txn, o) for o in others):
+        if any(o != txn and index.concurrent(txn, o) for o in index.txn_steps):
             return Verdict("fast-decision", False,
                            witness={"reason": f"{txn} did not run solo"})
         depth = txn_depth(trace, txn)
         notes = _learning_notes(trace, txn)
         learned_depths = [d for _, d in notes]
-        pd = _prefix_partial_depths(trace, txn)
+        pd = index.prefix_partial_depths(txn)
+        count = 0  # notes strictly before the prefix end
         for length in range(len(trace.steps) + 1):
+            while count < len(notes) and notes[count][0] < length:
+                count += 1
             p = pd[length]
             if p >= depth - 2:
                 continue
-            count = sum(1 for i, _ in notes if i < length)
             if count >= len(notes) or learned_depths[count] > p + 2:
                 return Verdict(
                     "fast-decision", False,
@@ -482,7 +467,7 @@ def check_read_delay(trace: ExecutionTrace) -> Verdict:
     for txn in trace.txns():
         if trace.coordinator_response(txn) is None:
             continue
-        pd = _prefix_partial_depths(trace, txn)
+        pd = trace.index.prefix_partial_depths(txn)
         for i, _ in _learning_notes(trace, txn):
             if pd[i + 1] < 2:
                 return Verdict(
@@ -634,7 +619,7 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         assert a < b, f"happened-before edge ({a},{b}) goes backwards"
 
     # Depth monotone along happened-before within a transaction.
-    depths = step_depths(trace)
+    depths = trace.index.depths
     for (a, b) in hb:
         sa, sb = trace.steps[a], trace.steps[b]
         if sa.txn is not None and sa.txn == sb.txn and depths[a] is not None and depths[b] is not None:
@@ -651,7 +636,6 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
 
     # Long-lock safety: CAS wins only on free locks; writes release own locks.
     holders: dict[tuple[int, str], Any] = {}
-    held_by_txn: dict[str, set[tuple[int, str]]] = {}
     for s in trace.steps:
         if s.kind != PRIM:
             continue
@@ -661,17 +645,13 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         if s.op == "cas" and s.fields["ret"] is True:
             assert holders.get(key) is None, f"lock CAS won over a held lock at {s.i}"
             holders[key] = s.fields["args"][1]
-            held_by_txn.setdefault(s.txn, set()).add(key)
         elif s.op == "write":
-            v = s.fields["args"][0]
-            if v is None and holders.get(key) is not None:
-                held_by_txn.get(s.txn, set()).discard(key)
-            holders[key] = v
+            holders[key] = s.fields["args"][0]
 
     # Every closed-interval transaction released its locks by interval end
     # (crash-free traces only; a crash may orphan a lock legitimately).
     if not crashed_at:
-        iv = intervals(trace)
+        iv = trace.index.intervals
         lock_events: dict[tuple[int, str], list[tuple[int, Any]]] = {}
         for s in trace.steps:
             if s.kind == PRIM and (s.obj.endswith(".lockL") or s.obj == GLOBAL_LOCK):
@@ -758,7 +738,14 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         assert rd.passed, f"read-delay violated: {rd.witness}"
 
 
-CHECKERS_BY_NAME: dict[str, Callable] = {
+def _check_seamless_ft_of_trace(trace: ExecutionTrace, s: int = 1) -> Verdict:
+    return check_seamless_ft(
+        trace.config, trace.algorithm, trace.scenario, Schedule.from_json(trace.schedule), s=s,
+    )
+
+
+# Every property `pdtsim check` decides on one recorded trace, in the CLI's order.
+CHECKERS_BY_NAME: dict[str, Callable[..., Verdict]] = {
     "serializability": lambda trace: check_serializability(derive_history(trace)),
     "weak-progress": lambda trace: check_weak_progress([trace]),
     "weak-ir": check_weak_ir,
@@ -766,5 +753,14 @@ CHECKERS_BY_NAME: dict[str, Callable] = {
     "dap": check_dap,
     "ddap": check_ddap,
     "fast-decision": check_fast_decision,
+    "seamless-ft": _check_seamless_ft_of_trace,
     "read-delay": check_read_delay,
+}
+PROPERTIES = tuple(CHECKERS_BY_NAME)
+
+# Trace refs a property reads from the .meta.json sidecar.
+SIDECAR_REFS: dict[str, tuple[str, ...]] = {
+    "dap": ("scenario",),
+    "ddap": ("scenario",),
+    "seamless-ft": ("scenario", "config", "schedule"),
 }

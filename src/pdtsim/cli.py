@@ -19,37 +19,14 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .checkers import (
-    check_dap,
-    check_ddap,
-    check_fast_decision,
-    check_read_delay,
-    check_seamless_ft,
-    check_serializability,
-    check_strong_ir,
-    check_weak_ir,
-    check_weak_progress,
-)
+from .checkers import CHECKERS_BY_NAME, PROPERTIES, SIDECAR_REFS
 from .engine import Schedule
 from .errors import PdtsimError
 from .explore import explore
 from .matrix import build_matrix
-from .model import derive_history
 from .protocols import VARIANTS, AlgorithmVariant
 from .scenarios import BUILTIN_SCENARIOS, Scenario, builtin_schedule, get_scenario
 from .traceio import read_trace, write_run
-
-PROPERTIES = (
-    "serializability",
-    "weak-progress",
-    "weak-ir",
-    "strong-ir",
-    "dap",
-    "ddap",
-    "fast-decision",
-    "seamless-ft",
-    "read-delay",
-)
 
 
 def _load_scenario(spec: str) -> Scenario:
@@ -92,31 +69,12 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     trace = read_trace(args.trace)
     prop = args.property
-    if prop == "serializability":
-        verdict = check_serializability(derive_history(trace))
-    elif prop == "weak-progress":
-        verdict = check_weak_progress([trace])
-    elif prop == "weak-ir":
-        verdict = check_weak_ir(trace)
-    elif prop == "strong-ir":
-        verdict = check_strong_ir(trace)
-    elif prop == "fast-decision":
-        verdict = check_fast_decision(trace)
-    elif prop == "read-delay":
-        verdict = check_read_delay(trace)
-    elif prop in ("dap", "ddap"):
-        if trace.scenario is None:
-            raise PdtsimError(f"{prop} needs the trace's .meta.json sidecar")
-        verdict = check_dap(trace) if prop == "dap" else check_ddap(trace)
-    elif prop == "seamless-ft":
-        if trace.scenario is None or trace.config is None or trace.schedule is None:
-            raise PdtsimError("seamless-ft needs the trace's .meta.json sidecar")
-        verdict = check_seamless_ft(
-            trace.config, trace.algorithm, trace.scenario,
-            Schedule.from_json(trace.schedule), s=args.s,
-        )
-    else:
+    if prop not in CHECKERS_BY_NAME:
         raise PdtsimError(f"unknown property {prop!r}")
+    if any(getattr(trace, ref) is None for ref in SIDECAR_REFS.get(prop, ())):
+        raise PdtsimError(f"{prop} needs the trace's .meta.json sidecar")
+    options = {"s": args.s} if prop == "seamless-ft" else {}
+    verdict = CHECKERS_BY_NAME[prop](trace, **options)
     print(json.dumps(verdict.to_json(), sort_keys=True, indent=2, ensure_ascii=False))
     return 0 if verdict.passed else 1
 

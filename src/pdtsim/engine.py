@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any
 
 from .errors import (
     AlreadyCrashed,
@@ -729,16 +729,3 @@ def run(config: SimConfig, variant, scenario, schedule: Schedule) -> RunResult:
     sim.finish()
     return sim.result(schedule.to_json())
 
-
-def run_recorded(config: SimConfig, variant, scenario, policy, granularity: str = "exact") -> RunResult:
-    """Run under an arbitrary policy object and record the decisions taken,
-    so the run can be rebuilt as a scripted schedule."""
-    sim = Simulation(config, variant, scenario, granularity=granularity)
-    while True:
-        d = policy.next_decision(sim)
-        if d is None:
-            break
-        sim.apply(d)
-    sim.finish()
-    script = Schedule("scripted", list(sim.decisions_taken), granularity=granularity)
-    return sim.result(script.to_json())

@@ -18,8 +18,7 @@ transactions instead of serializing them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from .checkers import Verdict, check_serializability
 from .engine import TICK, Decision, Schedule, SimConfig, Simulation

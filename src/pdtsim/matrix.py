@@ -6,8 +6,7 @@ crash-injection sweep).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import engine
@@ -35,16 +34,6 @@ from .scenarios import (
     scenario_solo,
 )
 
-PROPERTIES = (
-    "serializability",
-    "fast-decision",
-    "weak-ir",
-    "strong-ir",
-    "dap",
-    "ddap",
-    "seamless-ft",
-)
-
 
 @dataclass
 class MatrixReport:
@@ -55,12 +44,14 @@ class MatrixReport:
         return {"exploreBound": self.explore_bound, "cells": self.cells}
 
     def to_markdown(self) -> str:
-        header = "| algorithm | " + " | ".join(PROPERTIES) + " |"
-        sep = "|" + "---|" * (len(PROPERTIES) + 1)
+        # Columns are the checked properties, in the order build_matrix checks them.
+        columns = list(self.cells[VARIANTS[0]])
+        header = "| algorithm | " + " | ".join(columns) + " |"
+        sep = "|" + "---|" * (len(columns) + 1)
         rows = [header, sep]
         for variant in VARIANTS:
             marks = []
-            for prop in PROPERTIES:
+            for prop in columns:
                 cell = self.cells[variant][prop]
                 marks.append("PASS" if cell["pass"] else "FAIL")
             rows.append("| " + variant + " | " + " | ".join(marks) + " |")

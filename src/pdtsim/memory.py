@@ -9,11 +9,10 @@ is trivial, is noted but not adopted).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .errors import CrossNodeAccess
-from .model import CRASH, PRIM, ExecutionTrace, Step, concurrent
+from .model import PRIM, ExecutionTrace, Step
 
 GLOBAL_LOCK = "node.globalLock"
 
@@ -24,12 +23,6 @@ CAS = "cas"
 
 def item_objects(item: str) -> list[str]:
     return [f"{item}.val", f"{item}.seqNum", f"{item}.lockS", f"{item}.lockL"]
-
-
-@dataclass(frozen=True)
-class BaseObjectId:
-    node: int
-    name: str
 
 
 class NodeMemory:
@@ -111,14 +104,7 @@ def contending_pairs(trace: ExecutionTrace) -> set[tuple[int, int]]:
         if s.kind == PRIM and s.proc is not None and s.txn is not None:
             by_obj.setdefault((s.proc.node, s.obj), []).append(s)
 
-    conc_cache: dict[tuple[str, str], bool] = {}
-
-    def conc(t1: str, t2: str) -> bool:
-        key = (t1, t2) if t1 < t2 else (t2, t1)
-        if key not in conc_cache:
-            conc_cache[key] = concurrent(trace, t1, t2)
-        return conc_cache[key]
-
+    concurrent = trace.index.concurrent
     out: set[tuple[int, int]] = set()
     for steps in by_obj.values():
         for a in range(len(steps)):
@@ -128,7 +114,7 @@ def contending_pairs(trace: ExecutionTrace) -> set[tuple[int, int]]:
                     continue
                 if not (s1.nontrivial or s2.nontrivial):
                     continue
-                if not conc(s1.txn, s2.txn):
+                if not concurrent(s1.txn, s2.txn):
                     continue
                 out.add((s1.i, s2.i))
                 out.add((s2.i, s1.i))

@@ -1,13 +1,16 @@
 """Trace vocabulary and analysis: steps, transactions, causality, depth, histories.
 
 Everything in here is a pure function over immutable, already-recorded traces;
-nothing mutates engine state. Step records mirror the JSON-lines wire format
-one to one (camelCase keys inside ``fields``).
+nothing mutates engine state. The analysis of a trace (handlers, depths,
+intervals, causal pasts) lives in one ``TraceIndex`` cached on the trace.
+Step records mirror the JSON-lines wire format one to one (camelCase keys
+inside ``fields``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from functools import cached_property
+from typing import Any
 
 from .errors import MalformedResponse, OrphanStep, PlacementError, Undecided
 
@@ -234,141 +237,298 @@ class ExecutionTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
+    @cached_property
+    def index(self) -> "TraceIndex":
+        """The trace's shared analysis; steps must not change once it is built."""
+        return TraceIndex(self.steps)
+
     def txns(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for s in self.steps:
-            if s.txn is not None:
-                seen.setdefault(s.txn)
-        return list(seen)
+        return list(self.index.txn_steps)
 
     def coordinator_response(self, txn: str) -> Step | None:
-        for s in self.steps:
-            if (
-                s.kind == RESPONSE
-                and s.txn == txn
-                and s.proc is not None
-                and s.proc.kind == "client"
-                and s.outcome is not None
-            ):
-                return s
-        return None
+        return self.index.responses.get(txn)
 
     def decided(self, txn: str) -> bool:
         return self.coordinator_response(txn) is not None
 
 
 # ---------------------------------------------------------------------------
-# Handler reconstruction
+# Trace analysis
 #
-# Per process: an invoke opens a handler; a recv opens one if none is open
-# (message or drain handler), otherwise it belongs to the open handler (a
-# coordinator waiting mid-handler); a response closes the open handler. The
-# engine guarantees handlers are well nested per process, so the scan is
-# unambiguous.
+# Handler reconstruction, per process: an invoke opens a handler; a recv
+# opens one if none is open (message or drain handler), otherwise it belongs
+# to the open handler (a coordinator waiting mid-handler); a response closes
+# the open handler. The engine guarantees handlers are well nested per
+# process, so the scan is unambiguous.
 # ---------------------------------------------------------------------------
+
+
+class TraceIndex:
+    """Every derived view of one trace, each computed on first use.
+
+    A trace is immutable once recorded, so ``ExecutionTrace.index`` builds
+    one index per trace and every checker asks it instead of re-deriving
+    handlers, depths or intervals. Happened-before is answered per response
+    by one backward reachability pass (``ancestors``); nothing here holds
+    the full pair set.
+    """
+
+    def __init__(self, steps: list[Step]):
+        # Only the step list, not the trace: the trace holds its index, and
+        # a reference cycle would keep every analysed trace alive until the
+        # cyclic collector runs.
+        self.steps = steps
+        self._ancestors: dict[int, bytearray] = {}
+
+    @cached_property
+    def txn_steps(self) -> dict[str, list[int]]:
+        """Step indices of each transaction, ascending; transactions in order
+        of first appearance."""
+        out: dict[str, list[int]] = {}
+        for s in self.steps:
+            if s.txn is not None:
+                out.setdefault(s.txn, []).append(s.i)
+        return out
+
+    @cached_property
+    def responses(self) -> dict[str, Step]:
+        """Each transaction's first coordinator response carrying an outcome."""
+        out: dict[str, Step] = {}
+        for s in self.steps:
+            if (
+                s.kind == RESPONSE
+                and s.proc is not None
+                and s.proc.kind == "client"
+                and s.outcome is not None
+            ):
+                out.setdefault(s.txn, s)
+        return out
+
+    def response(self, txn: str) -> Step:
+        resp = self.responses.get(txn)
+        if resp is None:
+            raise Undecided(f"transaction {txn!r} is not decided in this trace")
+        return resp
+
+    @cached_property
+    def handlers(self) -> list[int | None]:
+        """Handler id (dense ints) of each step; None for crash/engine notes."""
+        out: list[int | None] = [None] * len(self.steps)
+        open_handler: dict[ProcessRef, int] = {}
+        next_id = 0
+        for s in self.steps:
+            if s.proc is None:
+                continue
+            if s.kind == INVOKE:
+                open_handler[s.proc] = next_id
+                next_id += 1
+                out[s.i] = open_handler[s.proc]
+            elif s.kind == RECV:
+                if s.proc not in open_handler:
+                    open_handler[s.proc] = next_id
+                    next_id += 1
+                out[s.i] = open_handler[s.proc]
+            elif s.kind == RESPONSE:
+                out[s.i] = open_handler.pop(s.proc)
+            else:
+                if s.proc in open_handler:
+                    out[s.i] = open_handler[s.proc]
+        return out
+
+    @cached_property
+    def send_of(self) -> dict[int, int]:
+        """recv step index -> send step index, by msgId."""
+        sends: dict[Any, int] = {}
+        out: dict[int, int] = {}
+        for s in self.steps:
+            if s.kind == SEND:
+                sends[s.msg_id] = s.i
+            elif s.kind == RECV:
+                if s.msg_id not in sends:
+                    raise OrphanStep(f"recv of msgId {s.msg_id} has no matching send")
+                out[s.i] = sends[s.msg_id]
+        return out
+
+    @cached_property
+    def preds(self) -> list[list[int]]:
+        """Immediate happened-before predecessors of each step: the previous
+        step of its handler and, for a recv, the matching send. Every
+        predecessor has a smaller index."""
+        handlers = self.handlers
+        out: list[list[int]] = [[] for _ in self.steps]
+        last_in_handler: dict[int, int] = {}
+        for s in self.steps:
+            h = handlers[s.i]
+            if h is not None:
+                if h in last_in_handler:
+                    out[s.i].append(last_in_handler[h])
+                last_in_handler[h] = s.i
+        for recv_i, send_i in self.send_of.items():
+            out[recv_i].append(send_i)
+        return out
+
+    def ancestors(self, step_index: int) -> bytearray:
+        """Mask over step indices: ``mask[j]`` is 1 iff step j happened-before
+        ``step_index`` (strictly). Cached per step."""
+        mask = self._ancestors.get(step_index)
+        if mask is None:
+            preds = self.preds
+            mask = bytearray(len(preds))
+            stack = list(preds[step_index])
+            while stack:
+                j = stack.pop()
+                if not mask[j]:
+                    mask[j] = 1
+                    stack.extend(preds[j])
+            self._ancestors[step_index] = mask
+        return mask
+
+    @cached_property
+    def depths(self) -> list[int | None]:
+        """Depth of every handler step; None for crash steps and engine notes.
+
+        A coordinator invocation has depth 0; a recv is 1 + depth of the
+        matching send; every other step takes the max depth of the steps
+        before it in the same handler.
+        """
+        handlers = self.handlers
+        send_of = self.send_of
+        depths: list[int | None] = [None] * len(self.steps)
+        handler_max: dict[int, int] = {}
+        for s in self.steps:
+            h = handlers[s.i]
+            if h is None:
+                continue
+            prior = handler_max.get(h, 0)
+            if s.kind == INVOKE:
+                d = 0
+            elif s.kind == RECV:
+                sd = depths[send_of[s.i]]
+                d = max(prior, (sd or 0) + 1)
+            else:
+                d = prior
+            depths[s.i] = d
+            handler_max[h] = max(prior, d)
+        return depths
+
+    def prefix_partial_depths(self, txn: str) -> list[int]:
+        """partialDepth of the transaction for every prefix length 0..n."""
+        past = self.ancestors(self.response(txn).i)
+        depths = self.depths
+        out: list[int] = []
+        cur = 0
+        for i in self.txn_steps[txn]:
+            d = depths[i]
+            if d is not None and past[i] and d > cur:
+                # Prefixes of length <= i do not contain step i.
+                out.extend([cur] * (i + 1 - len(out)))
+                cur = d
+        out.extend([cur] * (len(self.steps) + 1 - len(out)))
+        return out
+
+    @cached_property
+    def intervals(self) -> dict[str, tuple[int, int]]:
+        """Closed [start, end] step-index interval of each transaction.
+
+        The interval starts at the coordinator invocation and ends once every
+        handler of the transaction has responded and every send has either
+        been received or had its target node crash. Unresolved sends leave
+        the interval open through the end of the trace.
+        """
+        steps = self.steps
+        crash_at: dict[int, int] = {}
+        dropped_to: dict[Any, int] = {}  # msgId -> crashed target node
+        recv_of: dict[Any, int] = {}
+        for s in steps:
+            if s.kind == CRASH:
+                crash_at[s.fields["node"]] = s.i
+            elif s.kind == NOTE and s.tag == "drop":
+                dropped_to[s.data["msgId"]] = s.data["node"]
+            elif s.kind == RECV:
+                recv_of[s.msg_id] = s.i
+
+        handlers = self.handlers
+        handler_txn: dict[int, str | None] = {}
+        handler_resp: dict[int, int] = {}
+        for s in steps:
+            h = handlers[s.i]
+            if h is None:
+                continue
+            handler_txn.setdefault(h, s.txn)
+            if s.kind == RESPONSE:
+                handler_resp[h] = s.i
+
+        end = dict.fromkeys(self.txn_steps, 0)
+        closed = dict.fromkeys(self.txn_steps, True)
+        for h, t in handler_txn.items():
+            if t is None:
+                continue
+            if h in handler_resp:
+                end[t] = max(end[t], handler_resp[h])
+            else:
+                closed[t] = False
+
+        out: dict[str, tuple[int, int]] = {}
+        for txn, txn_steps in self.txn_steps.items():
+            start = None
+            for i in txn_steps:
+                s = steps[i]
+                if s.kind == INVOKE and start is None:
+                    start = i
+                elif s.kind == SEND:
+                    if s.msg_id in recv_of:
+                        end[txn] = max(end[txn], recv_of[s.msg_id])
+                    elif s.msg_id in dropped_to:
+                        # The send stops blocking the interval at the target's crash.
+                        end[txn] = max(end[txn], crash_at[dropped_to[s.msg_id]], i)
+                    else:
+                        closed[txn] = False
+            if start is not None:
+                out[txn] = (start, end[txn] if closed[txn] else len(steps) - 1)
+        return out
+
+    def concurrent(self, t1: str, t2: str) -> bool:
+        iv = self.intervals
+        if t1 not in iv or t2 not in iv:
+            return False
+        (s1, e1), (s2, e2) = iv[t1], iv[t2]
+        return s1 <= e2 and s2 <= e1
 
 
 def handler_of_steps(trace: ExecutionTrace) -> list[int | None]:
     """Map each step index to a handler id (dense ints), None for crash/engine notes."""
-    out: list[int | None] = [None] * len(trace.steps)
-    open_handler: dict[ProcessRef, int] = {}
-    next_id = 0
-    for s in trace.steps:
-        if s.proc is None:
-            continue
-        if s.kind == INVOKE:
-            open_handler[s.proc] = next_id
-            next_id += 1
-            out[s.i] = open_handler[s.proc]
-        elif s.kind == RECV:
-            if s.proc not in open_handler:
-                open_handler[s.proc] = next_id
-                next_id += 1
-            out[s.i] = open_handler[s.proc]
-        elif s.kind == RESPONSE:
-            out[s.i] = open_handler.pop(s.proc)
-        else:
-            if s.proc in open_handler:
-                out[s.i] = open_handler[s.proc]
-    return out
-
-
-def matching_send(trace: ExecutionTrace) -> dict[int, int]:
-    """Map recv step index -> send step index, by msgId."""
-    sends: dict[Any, int] = {}
-    out: dict[int, int] = {}
-    for s in trace.steps:
-        if s.kind == SEND:
-            sends[s.msg_id] = s.i
-        elif s.kind == RECV:
-            if s.msg_id not in sends:
-                raise OrphanStep(f"recv of msgId {s.msg_id} has no matching send")
-            out[s.i] = sends[s.msg_id]
-    return out
+    return list(trace.index.handlers)
 
 
 def happened_before(trace: ExecutionTrace) -> set[tuple[int, int]]:
-    """The smallest transitive relation from handler program order and send->recv."""
-    n = len(trace.steps)
-    handlers = handler_of_steps(trace)
-    edges: list[list[int]] = [[] for _ in range(n)]
-    last_in_handler: dict[int, int] = {}
-    for s in trace.steps:
-        h = handlers[s.i]
-        if h is not None:
-            if h in last_in_handler:
-                edges[last_in_handler[h]].append(s.i)
-            last_in_handler[h] = s.i
-    for recv_i, send_i in matching_send(trace).items():
-        edges[send_i].append(recv_i)
+    """The smallest transitive relation from handler program order and send->recv.
 
-    # Reachability via reverse topological accumulation (trace order is a
-    # linearization of the DAG: every edge goes forward in index order).
-    reach: list[int] = [0] * n  # bitmask of reachable step indices
+    This materializes every pair, quadratic in the trace length; checkers ask
+    ``trace.index.ancestors`` for one step's causal past instead.
+    """
+    preds = trace.index.preds
+    # Ancestor bitmasks in trace order, which is a linearization of the DAG.
+    past: list[int] = [0] * len(preds)
     rel: set[tuple[int, int]] = set()
-    for i in range(n - 1, -1, -1):
+    for i, ps in enumerate(preds):
         mask = 0
-        for j in edges[i]:
-            mask |= (1 << j) | reach[j]
-        reach[i] = mask
-        m = mask
-        while m:
-            low = m & -m
-            rel.add((i, low.bit_length() - 1))
-            m ^= low
+        for j in ps:
+            mask |= (1 << j) | past[j]
+        past[i] = mask
+        while mask:
+            low = mask & -mask
+            rel.add((low.bit_length() - 1, i))
+            mask ^= low
     return rel
 
 
 def step_depths(trace: ExecutionTrace) -> list[int | None]:
-    """Depth of every handler step; None for crash steps and engine notes.
-
-    A coordinator invocation has depth 0; a recv is 1 + depth of the matching
-    send; every other step takes the max depth of the steps before it in the
-    same handler.
-    """
-    handlers = handler_of_steps(trace)
-    send_of = matching_send(trace)
-    depths: list[int | None] = [None] * len(trace.steps)
-    handler_max: dict[int, int] = {}
-    for s in trace.steps:
-        h = handlers[s.i]
-        if h is None:
-            continue
-        prior = handler_max.get(h, 0)
-        if s.kind == INVOKE:
-            d = 0
-        elif s.kind == RECV:
-            sd = depths[send_of[s.i]]
-            d = max(prior, (sd or 0) + 1)
-        else:
-            d = prior
-        depths[s.i] = d
-        handler_max[h] = max(handler_max.get(h, 0), d)
-    return depths
+    """Depth of every handler step; None for crash steps and engine notes."""
+    return list(trace.index.depths)
 
 
 def step_depth(trace: ExecutionTrace, step_index: int) -> int:
-    d = step_depths(trace)[step_index]
+    d = trace.index.depths[step_index]
     if d is None:
         raise OrphanStep(f"step {step_index} is not a handler step")
     return d
@@ -376,26 +536,13 @@ def step_depth(trace: ExecutionTrace, step_index: int) -> int:
 
 def txn_depth(trace: ExecutionTrace, txn: str) -> int:
     """Depth of the coordinator handler's response step."""
-    resp = trace.coordinator_response(txn)
-    if resp is None:
-        raise Undecided(f"transaction {txn!r} is not decided in this trace")
-    return step_depths(trace)[resp.i]  # type: ignore[return-value]
+    index = trace.index
+    return index.depths[index.response(txn).i]  # type: ignore[return-value]
 
 
 def partial_depth(trace: ExecutionTrace, prefix_len: int, txn: str) -> int:
     """Max depth of the txn's steps in the prefix that happened-before its response."""
-    resp = trace.coordinator_response(txn)
-    if resp is None:
-        raise Undecided(f"transaction {txn!r} is not decided in this trace")
-    depths = step_depths(trace)
-    hb = happened_before(trace)
-    best = 0
-    for s in trace.steps[:prefix_len]:
-        if s.txn != txn or depths[s.i] is None:
-            continue
-        if (s.i, resp.i) in hb:
-            best = max(best, depths[s.i])  # type: ignore[arg-type]
-    return best
+    return trace.index.prefix_partial_depths(txn)[min(prefix_len, len(trace.steps))]
 
 
 def value_learned_events(trace: ExecutionTrace, txn: str) -> dict[str, int]:
@@ -403,85 +550,20 @@ def value_learned_events(trace: ExecutionTrace, txn: str) -> dict[str, int]:
     if not trace.decided(txn):
         raise Undecided(f"transaction {txn!r} is not decided in this trace")
     out: dict[str, int] = {}
-    for s in trace.steps:
-        if s.kind == NOTE and s.txn == txn and s.tag == VALUE_LEARNED:
-            out[s.data["item"]] = s.i
+    for i in trace.index.txn_steps[txn]:
+        s = trace.steps[i]
+        if s.kind == NOTE and s.tag == VALUE_LEARNED:
+            out[s.data["item"]] = i
     return out
-
-
-# ---------------------------------------------------------------------------
-# Transaction intervals and concurrency
-# ---------------------------------------------------------------------------
 
 
 def intervals(trace: ExecutionTrace) -> dict[str, tuple[int, int]]:
-    """Closed [start, end] step-index interval of each transaction.
-
-    The interval starts at the coordinator invocation and ends once every
-    handler of the transaction has responded and every send has either been
-    received or had its target node crash. Unresolved sends leave the
-    interval open through the end of the trace.
-    """
-    n = len(trace.steps)
-    crash_at: dict[int, int] = {}
-    dropped_to: dict[Any, int] = {}  # msgId -> crashed target node
-    for s in trace.steps:
-        if s.kind == CRASH:
-            crash_at[s.fields["node"]] = s.i
-        elif s.kind == NOTE and s.tag == "drop":
-            dropped_to[s.data["msgId"]] = s.data["node"]
-
-    handlers = handler_of_steps(trace)
-    handler_txn: dict[int, str | None] = {}
-    handler_resp: dict[int, int] = {}
-    for s in trace.steps:
-        h = handlers[s.i]
-        if h is None:
-            continue
-        handler_txn.setdefault(h, s.txn)
-        if s.kind == RESPONSE:
-            handler_resp[h] = s.i
-
-    recv_of: dict[Any, int] = {}
-    for s in trace.steps:
-        if s.kind == RECV:
-            recv_of[s.msg_id] = s.i
-
-    out: dict[str, tuple[int, int]] = {}
-    for txn in trace.txns():
-        start = None
-        end = 0
-        closed = True
-        for h, t in handler_txn.items():
-            if t != txn:
-                continue
-            if h in handler_resp:
-                end = max(end, handler_resp[h])
-            else:
-                closed = False
-        for s in trace.steps:
-            if s.kind == INVOKE and s.txn == txn and start is None:
-                start = s.i
-            if s.kind == SEND and s.txn == txn:
-                if s.msg_id in recv_of:
-                    end = max(end, recv_of[s.msg_id])
-                elif s.msg_id in dropped_to:
-                    # The send stops blocking the interval at the target's crash.
-                    end = max(end, max(crash_at[dropped_to[s.msg_id]], s.i))
-                else:
-                    closed = False
-        if start is None:
-            continue
-        out[txn] = (start, end if closed else n - 1)
-    return out
+    """Closed [start, end] step-index interval of each transaction (see TraceIndex.intervals)."""
+    return dict(trace.index.intervals)
 
 
 def concurrent(trace: ExecutionTrace, t1: str, t2: str) -> bool:
-    iv = intervals(trace)
-    if t1 not in iv or t2 not in iv:
-        return False
-    (s1, e1), (s2, e2) = iv[t1], iv[t2]
-    return s1 <= e2 and s2 <= e1
+    return trace.index.concurrent(t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,8 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
     round_counter = [0]
 
     recorded = yield from _read_phase(env, prog, round_counter)
+    if recorded.keys() != set(prog.read_set):
+        return _read_abort(prog, recorded)
     reads = [[k, recorded[k][1]] for k in prog.read_set]
     writes = prog.writes_for({k: v for k, (v, _) in recorded.items()}, env.placement.initials)
 
@@ -151,6 +153,8 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
                 }))
             # Fall back to the two-round algorithm, re-reading from scratch.
             recorded = yield from _read_phase(env, prog, round_counter)
+            if recorded.keys() != set(prog.read_set):
+                return _read_abort(prog, recorded)
             reads = [[k, recorded[k][1]] for k in prog.read_set]
             writes = prog.writes_for(
                 {k: v for k, (v, _) in recorded.items()}, env.placement.initials
@@ -177,7 +181,11 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
 
 def _read_phase(env: ProtocolEnv, prog: TransactionProgram, round_counter):
     """One key at a time: broadcast to the replica group, collect k-f replies,
-    record the max-seqNum pair, announce the learned value."""
+    record the max-seqNum pair, announce the learned value.
+
+    Stops early, returning only the items learned so far, once so many
+    replicas refused the current round (out of read retries) that the rest
+    can no longer form a k-f quorum."""
     recorded: dict[str, tuple[Any, int]] = {}
     for item in prog.read_set:
         round_counter[0] += 1
@@ -186,12 +194,16 @@ def _read_phase(env: ProtocolEnv, prog: TransactionProgram, round_counter):
         for n in group:
             yield SendMsg(("node", n), pmsg("read", {"key": item, "round": rnd}))
         replies: dict[int, tuple[Any, int]] = {}
+        refused: set[int] = set()
         while len(replies) < env.quorum:
             m = yield WaitRecv()
             pl = m.payload
             if pl["kind"] != "readReply" or pl["body"].get("round") != rnd:
                 continue
             if pl["body"]["vote"] != "ok":
+                refused.add(m.src.node)
+                if len(group) - len(refused) < env.quorum:
+                    return recorded
                 continue
             replies[m.src.node] = (pl["body"]["val"], pl["body"]["seq"])
         best = max(sorted(replies), key=lambda n: replies[n][1])
@@ -199,6 +211,13 @@ def _read_phase(env: ProtocolEnv, prog: TransactionProgram, round_counter):
         recorded[item] = (val, seq)
         yield EmitNote(VALUE_LEARNED, {"item": item, "val": val, "seq": seq})
     return recorded
+
+
+def _read_abort(prog: TransactionProgram, recorded) -> dict:
+    """Decide abort after an unfinished read phase; no node holds anything
+    for the transaction yet, so there is no validation or abort round."""
+    read_set = [[k, recorded[k][0]] for k in prog.read_set if k in recorded]
+    return {"outcome": "abort", "readSet": read_set, "writeSet": []}
 
 
 def _decision_contacts(env: ProtocolEnv, reads, writes) -> list[int]:

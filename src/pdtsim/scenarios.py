@@ -8,8 +8,8 @@ deliveries per node) and the recorded decisions become a replayable script.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 from .engine import (
     ASYNC_GST,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .engine import RunResult, Schedule, SimConfig
+from .engine import RunResult, SimConfig
 from .model import ExecutionTrace, Step
 from .protocols import AlgorithmVariant
 from .scenarios import Scenario

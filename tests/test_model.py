@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from pdtsim import run
-from pdtsim.engine import Decision, Schedule, SimConfig, Simulation
+from pdtsim.engine import Decision, Schedule, SimConfig, Simulation, inject_crash
 from pdtsim.errors import Undecided
 from pdtsim.model import (
     CommittedHistory,
@@ -34,6 +34,7 @@ from pdtsim.model import (
 )
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import scenario_solo
+from pdtsim.traceio import read_trace, write_run
 
 from conftest import Driver, make_scenario
 
@@ -236,3 +237,153 @@ def test_intervals_and_concurrency(base):
     assert concurrent(res.trace, "t1", "t2") == (
         iv["t1"][0] <= iv["t2"][1] and iv["t2"][0] <= iv["t1"][1]
     )
+
+
+# ---------------------------------------------------------------------------
+# TraceIndex cross-validation against fresh scans and the full pair set
+# ---------------------------------------------------------------------------
+
+
+def _ref_depths(trace):
+    """Step depths by a fresh scan: handler reconstruction, then depth rules."""
+    open_handler, handler, next_id = {}, {}, 0
+    for s in trace.steps:
+        if s.proc is None:
+            continue
+        if s.kind == "invoke" or (s.kind == "recv" and s.proc not in open_handler):
+            open_handler[s.proc] = next_id
+            next_id += 1
+        if s.proc in open_handler:
+            handler[s.i] = open_handler[s.proc]
+        if s.kind == "response":
+            del open_handler[s.proc]
+    sends = {s.msg_id: s.i for s in trace.steps if s.kind == "send"}
+    depths, handler_max = [None] * len(trace.steps), {}
+    for s in trace.steps:
+        if s.i not in handler:
+            continue
+        h = handler[s.i]
+        d = handler_max.get(h, 0)
+        if s.kind == "invoke":
+            d = 0
+        elif s.kind == "recv":
+            d = max(d, (depths[sends[s.msg_id]] or 0) + 1)
+        depths[s.i] = d
+        handler_max[h] = max(handler_max.get(h, 0), d)
+    return depths, handler
+
+
+def _ref_happened_before(trace):
+    """The pair set by a fresh scan: program order plus send->recv, closed by search."""
+    _, handler = _ref_depths(trace)
+    succ, last = {}, {}
+    for s in trace.steps:
+        if s.i in handler:
+            if handler[s.i] in last:
+                succ.setdefault(last[handler[s.i]], []).append(s.i)
+            last[handler[s.i]] = s.i
+    sends = {s.msg_id: s.i for s in trace.steps if s.kind == "send"}
+    for s in trace.steps:
+        if s.kind == "recv":
+            succ.setdefault(sends[s.msg_id], []).append(s.i)
+    pairs = set()
+    for a in range(len(trace.steps)):
+        stack = list(succ.get(a, ()))
+        while stack:
+            b = stack.pop()
+            if (a, b) not in pairs:
+                pairs.add((a, b))
+                stack.extend(succ.get(b, ()))
+    return pairs
+
+
+def _ref_response(trace, txn):
+    return next((s for s in trace.steps if s.kind == "response" and s.txn == txn
+                 and s.proc is not None and s.proc.kind == "client"
+                 and s.outcome is not None), None)
+
+
+def _ref_intervals(trace):
+    n = len(trace.steps)
+    _, handler = _ref_depths(trace)
+    crash_at = {s.fields["node"]: s.i for s in trace.steps if s.kind == "crash"}
+    dropped_to = {s.data["msgId"]: s.data["node"] for s in trace.steps
+                  if s.kind == "note" and s.tag == "drop"}
+    recv_of = {s.msg_id: s.i for s in trace.steps if s.kind == "recv"}
+    out = {}
+    for txn in dict.fromkeys(s.txn for s in trace.steps if s.txn is not None):
+        mine = [s for s in trace.steps if s.txn == txn]
+        handlers = {handler[s.i] for s in mine if s.i in handler}
+        # A handler belongs to the transaction of its first step.
+        handlers = {h for h in handlers
+                    if next(s for s in trace.steps if handler.get(s.i) == h).txn == txn}
+        resp_of = {handler[s.i]: s.i for s in trace.steps
+                   if s.kind == "response" and handler.get(s.i) in handlers}
+        end, closed = max(resp_of.values(), default=0), handlers <= set(resp_of)
+        for s in mine:
+            if s.kind != "send":
+                continue
+            if s.msg_id in recv_of:
+                end = max(end, recv_of[s.msg_id])
+            elif s.msg_id in dropped_to:
+                end = max(end, crash_at[dropped_to[s.msg_id]], s.i)
+            else:
+                closed = False
+        starts = [s.i for s in mine if s.kind == "invoke"]
+        if starts:
+            out[txn] = (starts[0], end if closed else n - 1)
+    return out
+
+
+def _cross_validation_traces(tmp_path):
+    scen = make_scenario(
+        {"X": None, "Y": None}, {"X": [0, 1, 2], "Y": [0, 1, 2]}, 3, 1,
+        [("t1", 0, ["X"], [("Y", "allReadsInitial", "y1")]),
+         ("t2", 1, ["Y"], [("X", "always", "x2")]),
+         ("t3", 2, ["X", "Y"], []),
+         ("t4", 0, [], [("X", "always", "x4"), ("Y", "always", "y4")])],
+        procs=2,
+    )
+    out = []
+    for tag in ("base", "no-fast", "weak-ir", "no-seamless", "no-ddap"):
+        variant = AlgorithmVariant(tag)
+        for seed in (1, 2):
+            res = run(scen.config, variant, scen, Schedule("random", seed=seed, granularity="exact"))
+            out.append((f"{tag}/{seed}", res.trace))
+    base = AlgorithmVariant("base")
+    res = run(scen.config, base, scen, Schedule("random", seed=3, granularity="exact"))
+    crashed = run(scen.config, base, scen, inject_crash(
+        Schedule("scripted", list(res.decisions), granularity="exact"), node=2,
+        after_step_index=len(res.decisions) // 3))
+    assert any(s.kind == "crash" for s in crashed.trace.steps)
+    out.append(("crash", crashed.trace))
+    write_run(res, tmp_path / "trace.jsonl")
+    out.append(("round-trip", read_trace(tmp_path / "trace.jsonl")))
+    return out
+
+
+def test_trace_index_matches_fresh_scans(tmp_path):
+    for label, trace in _cross_validation_traces(tmp_path):
+        depths, _ = _ref_depths(trace)
+        assert step_depths(trace) == depths, label
+        iv = _ref_intervals(trace)
+        assert intervals(trace) == iv, label
+        txns = list(iv)
+        for t1 in txns:
+            for t2 in txns:
+                (s1, e1), (s2, e2) = iv[t1], iv[t2]
+                assert concurrent(trace, t1, t2) == (s1 <= e2 and s2 <= e1), (label, t1, t2)
+        hb = happened_before(trace)
+        assert hb == _ref_happened_before(trace), label
+        for txn in trace.txns():
+            resp = _ref_response(trace, txn)
+            assert trace.coordinator_response(txn) is resp, (label, txn)
+            if resp is None:
+                continue
+            pd = 0
+            for length in range(len(trace.steps) + 1):
+                if length:
+                    s = trace.steps[length - 1]
+                    if s.txn == txn and depths[s.i] is not None and (s.i, resp.i) in hb:
+                        pd = max(pd, depths[s.i])
+                assert partial_depth(trace, length, txn) == pd, (label, txn, length)

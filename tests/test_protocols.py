@@ -8,10 +8,11 @@ from __future__ import annotations
 import pytest
 
 from pdtsim import run
+from pdtsim.checkers import verify_trace_invariants
 from pdtsim.engine import Schedule, SimConfig, Simulation
 from pdtsim.memory import NodeMemory
 from pdtsim.model import ProcessRef
-from pdtsim.protocols import AlgorithmVariant, ProtocolEnv, pmsg
+from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv, pmsg
 from pdtsim.scenarios import scenario_solo
 
 from conftest import Driver, FakeMsg, HandlerHarness, make_scenario, run_sequential
@@ -235,3 +236,64 @@ def test_quorum_unreachable_leaves_txn_undecided(base):
     )
     res = run(scen.config, base, scen, sched)
     assert not res.trace.decided("t1")
+
+
+@pytest.mark.parametrize("tag", VARIANTS)
+def test_read_retries_exhausted_on_two_replicas_aborts(tag):
+    # k=3, f=1. A writer's commit holds X.lockS on nodes 1 and 2 while the
+    # reader's X reads run there: both replicas exhaust READ_RETRY_BOUND and
+    # vote abort, so no k-f quorum of ok replies can form. The reader must
+    # abort without a validation round instead of waiting forever.
+    variant = AlgorithmVariant(tag)
+    scen = make_scenario(
+        {"X": None, "Y": None}, {"X": [0, 1, 2], "Y": [0, 1, 2]}, 3, 1,
+        [("w", 0, [], [("X", "always", "v")]),
+         ("r", 1, ["Y", "X"], [("Y", "allReadsInitial", "y")])],
+        procs=2,
+    )
+    sim = Simulation(scen.config, variant, scen)
+    drv = Driver(sim)
+    writer, reader = ProcessRef.client(0), ProcessRef.client(1)
+
+    def deliver_and_run(m, pin):
+        if m.dst[0] == "node":
+            drv.deliver(m.msg_id, pin=pin)
+            drv.run_proc(ProcessRef.node_proc(m.dst[1], pin))
+        else:
+            drv.deliver(m.msg_id)
+            drv.run_proc(ProcessRef.client(m.dst[1]))
+
+    # The writer runs up to its commit broadcast; node handlers on process 0.
+    drv.run_proc(writer)
+    while not drv.inflight(lambda m: m.payload["kind"] == "commit"):
+        for m in drv.inflight(lambda m: m.txn == "w"):
+            deliver_and_run(m, 0)
+    for node in (1, 2):
+        drv.deliver_where(lambda m: m.payload["kind"] == "commit" and m.dst == ("node", node), pin=0)
+        proc = ProcessRef.node_proc(node, 0)
+        while not any(s.proc == proc and s.kind == "prim" and s.obj == "X.lockS" for s in sim.steps):
+            drv.step(proc)  # stop right after the lockS CAS
+
+    # The reader learns Y, then reads X on the two locked replicas first.
+    drv.run_proc(reader)
+    for m in drv.inflight(lambda m: m.payload["kind"] == "read"):
+        deliver_and_run(m, 1)
+    for m in drv.inflight(lambda m: m.payload["kind"] == "readReply"):
+        deliver_and_run(m, None)
+    for m in drv.inflight(lambda m: m.payload["kind"] == "read" and m.dst[1] in (1, 2)):
+        deliver_and_run(m, 1)
+    refusals = drv.inflight(lambda m: m.payload["kind"] == "readReply")
+    assert [m.payload["body"]["vote"] for m in refusals] == ["abort", "abort"]
+    for m in refusals:
+        deliver_and_run(m, None)
+    assert sim.procs[reader].handler is None, "the reader decided on the second refusal"
+    drv.drain_fair()
+
+    trace = sim.result().trace
+    assert all(trace.decided(t) for t in ("w", "r"))
+    assert trace.coordinator_response("w").outcome == "commit"
+    resp = trace.coordinator_response("r")
+    assert (resp.outcome, resp.read_set, resp.write_set) == ("abort", [["Y", None]], [])
+    assert not any(s.kind == "send" and s.txn == "r" and s.payload["kind"] == "validate"
+                   for s in trace.steps)
+    verify_trace_invariants(trace)
