@@ -13,7 +13,7 @@ from typing import Any, Callable, Iterable
 from . import engine
 from .engine import Schedule, SimConfig
 from .errors import ScheduleIncompatible, TooLarge
-from .memory import GLOBAL_LOCK, contending_pairs, replay_nontrivial
+from .memory import GLOBAL_LOCK, contending_pairs
 from .model import (
     CRASH,
     INVOKE,
@@ -539,11 +539,10 @@ def check_seamless_ft(
             if node in crashed_nodes:
                 continue
             injections += 1
-            found = False
+            prefix = list(base.decisions[:pos]) + [engine.Decision("crash", node=node)]
             for attempt in range(completions + 1):
                 sched = Schedule(
-                    "scripted",
-                    list(base.decisions[:pos]) + [engine.Decision("crash", node=node)],
+                    "scripted", prefix,
                     granularity=schedule.granularity,
                     complete=True,
                     completion_seed=None if attempt == 0 else attempt,
@@ -553,24 +552,18 @@ def check_seamless_ft(
                     _coordinator_signature(res.trace) == base_sig
                     and _decided_depths(res.trace) == base_depths
                 ):
-                    found = True
                     break
-            if not found:
-                sched = Schedule(
-                    "scripted",
-                    list(base.decisions[:pos]) + [engine.Decision("crash", node=node)],
-                    granularity=schedule.granularity,
-                    complete=True,
-                )
-                res = engine.run(config, variant, scenario, sched)
+                if attempt == 0:
+                    first_sched, first_res = sched, res  # the fair completion is the witness
+            else:
                 return Verdict(
                     "seamless-ft", False,
                     witness={
                         "prefix": pos, "node": node,
-                        "schedule": sched.to_json(),
+                        "schedule": first_sched.to_json(),
                         "baseDepths": base_depths,
-                        "injectedDepths": _decided_depths(res.trace),
-                        "signatureChanged": _coordinator_signature(res.trace) != base_sig,
+                        "injectedDepths": _decided_depths(first_res.trace),
+                        "signatureChanged": _coordinator_signature(first_res.trace) != base_sig,
                         "caveat": "no seamless completion found within budget",
                     },
                 )
@@ -587,8 +580,9 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
 
     Covers: message integrity, crash finality, happened-before acyclicity,
     depth monotonicity along happened-before, per-item seqNum monotonicity,
-    long-lock safety, read atomicity, weak invisible reads, and non-trivial
-    replay reproducing final memory (when the scenario is attached).
+    long-lock safety, lock release by interval end (crash-free traces), read
+    atomicity (when the scenario is attached), decision agreement, weak
+    invisible reads, and the read-delay bound (when f >= 1 and k >= 3).
     """
     # Message integrity: unique matching sends, no double delivery.
     seen_recv: set[Any] = set()

@@ -35,6 +35,7 @@ from .model import (
 
 MAX_DECISIONS = 200_000  # safety valve against non-terminating schedules
 ASYNC_GST = 10**9  # effectively "never stabilizes" for finite runs
+GRANULARITIES = ("exact", "atomic")
 
 
 @dataclass(frozen=True)
@@ -153,15 +154,6 @@ class Decision:
             node=d.get("node"),
         )
 
-    def sort_key(self) -> tuple:
-        order = {"step": 0, "deliver": 1, "crash": 2, "tick": 3}
-        return (
-            order[self.t],
-            self.proc.sort_key() if self.proc else (),
-            self.msg if self.msg is not None else -1,
-            self.node if self.node is not None else -1,
-        )
-
 
 TICK = Decision("tick")
 
@@ -180,7 +172,7 @@ class Schedule:
     kind: str  # "scripted" | "random" | "fair"
     decisions: list[Decision] = field(default_factory=list)
     seed: int | None = None
-    granularity: str = "exact"  # "exact" | "reduced"
+    granularity: str = "exact"  # "exact" | "atomic" (one step runs a handler section)
     tolerant: bool = False  # skip script decisions that are no longer enabled
     complete: bool = True  # finish with a policy after the script ends
     completion_seed: int | None = None  # None -> fair completion
@@ -280,6 +272,8 @@ class Simulation:
         self.config = config
         self.variant = variant
         self.scenario = scenario
+        if granularity not in GRANULARITIES:
+            raise ScheduleStuck(f"unknown granularity {granularity!r}")
         self.granularity = granularity
         scenario.placement.validate_against(config.n_nodes)
 
@@ -338,8 +332,8 @@ class Simulation:
             h.pending = effect
             h.waiting = None
 
-    def _execute_pending(self, proc: _Proc) -> bool:
-        """Run one staged effect as one handler step; True if the step was trivial."""
+    def _execute_pending(self, proc: _Proc) -> None:
+        """Run one staged effect as one handler step."""
         h = proc.handler
         assert h is not None and h.pending is not None
         eff = h.pending
@@ -352,7 +346,7 @@ class Simulation:
                 obj=eff.obj, op=eff.op, nontrivial=nontrivial, args=list(eff.args), ret=ret,
             )
             self._advance(proc, ret)
-            return not nontrivial
+            return
         if isinstance(eff, SendMsg):
             msg = Message(
                 self.next_msg_id, h.txn, proc.ref, eff.dst, eff.payload, self.tick, len(self.steps)
@@ -361,11 +355,11 @@ class Simulation:
             self._log(SEND, proc.ref, h.txn, msgId=msg.msg_id, payload=eff.payload)
             self.inflight[msg.msg_id] = msg
             self._advance(proc, msg.msg_id)
-            return False
+            return
         if isinstance(eff, EmitNote):
             self._log(NOTE, proc.ref, h.txn, tag=eff.tag, data=eff.data)
             self._advance(proc, None)
-            return False
+            return
         if isinstance(eff, _Response):
             if h.coordinator:
                 v = eff.value
@@ -377,7 +371,7 @@ class Simulation:
             else:
                 self._log(RESPONSE, proc.ref, h.txn, outcome=None, readSet=None, writeSet=None)
             proc.handler = None
-            return False
+            return
         raise TypeError(f"handler yielded unknown effect {eff!r}")
 
     def _timer_expired(self, h: _Handler) -> bool:
@@ -533,13 +527,6 @@ class Simulation:
             # sections are the scheduling unit.
             while proc.handler is not None and proc.handler.pending is not None:
                 self._execute_pending(proc)
-        elif self.granularity == "reduced":
-            # Consecutive trivial prims coalesce into one decision, ending
-            # with one significant step (send, note, non-trivial prim, ...).
-            while proc.handler is not None and proc.handler.pending is not None:
-                trivial = self._execute_pending(proc)
-                if not trivial:
-                    break
         else:
             self._execute_pending(proc)
 
@@ -714,18 +701,16 @@ def make_policy(schedule: Schedule):
     raise ScheduleStuck(f"unknown schedule kind {schedule.kind!r}")
 
 
-def run(config: SimConfig, variant, scenario, schedule: Schedule) -> RunResult:
-    """Run one execution to quiescence (or script exhaustion) and return its trace."""
-    sim = Simulation(
-        config, variant, scenario,
-        granularity=schedule.granularity,
-    )
-    policy = make_policy(schedule)
-    while True:
-        d = policy.next_decision(sim)
-        if d is None:
-            break
+def drive(sim: Simulation, policy) -> None:
+    """Apply the policy's decisions until it has none, then flush drops."""
+    while (d := policy.next_decision(sim)) is not None:
         sim.apply(d)
     sim.finish()
+
+
+def run(config: SimConfig, variant, scenario, schedule: Schedule) -> RunResult:
+    """Run one execution to quiescence (or script exhaustion) and return its trace."""
+    sim = Simulation(config, variant, scenario, granularity=schedule.granularity)
+    drive(sim, make_policy(schedule))
     return sim.result(schedule.to_json())
 

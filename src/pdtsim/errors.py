@@ -41,9 +41,5 @@ class ScheduleIncompatible(PdtsimError):
     """A scripted schedule cannot be adapted to a twin-substituted re-execution."""
 
 
-class BudgetExceeded(PdtsimError):
-    """Exhaustive exploration hit its schedule budget before finishing the frontier."""
-
-
 class RunawayRun(PdtsimError):
     """A single run exceeded the engine's decision cap (non-terminating schedule)."""

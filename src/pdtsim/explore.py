@@ -6,13 +6,15 @@ full re-run per terminal trace, plus two sound reductions:
 
   * invisible steps (invocations, sends, notes, responses) never branch:
     they touch no shared memory and commute with every other choice;
-  * the default scheduling unit is a whole handler section ("atomic"
-    granularity): committed read values always correspond to consistent
-    replica states (the lock-free read retries until it sees one), so every
-    reachable committed history is already reachable with handler sections
-    scheduled atomically. "reduced" (trivial-prim blocks) and "exact"
-    granularities remain available for validation.
+  * the scheduling unit is a whole handler section ("atomic" granularity):
+    committed read values always correspond to consistent replica states
+    (the lock-free read retries until it sees one), so every reachable
+    committed history is already reachable with handler sections scheduled
+    atomically. Witness schedules carry the granularity, so they replay as
+    explored.
 
+Each run replays the stack's prefix, descends greedily to a new terminal
+until every transaction has decided, and leaves the tail to the fair policy.
 Frontier orderings rotate with depth so the first descents interleave the
 transactions instead of serializing them.
 """
@@ -21,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checkers import Verdict, check_serializability
-from .engine import TICK, Decision, Schedule, SimConfig, Simulation
-from .errors import BudgetExceeded
-from .model import derive_history
+from .engine import TICK, Decision, FairPolicy, Schedule, SimConfig, Simulation, drive, run
+from .model import ExecutionTrace, derive_history
 from .scenarios import Scenario
 
 DEFAULT_RANDOM_SCHEDULES = 10_000
 DEFAULT_EXHAUSTIVE_BOUND = 8_000
+GRANULARITY = "atomic"  # the explorer's scheduling unit: a whole handler section
 
 
 @dataclass
@@ -50,35 +52,30 @@ class ExplorationResult:
 
 class _Collector:
     def __init__(self):
-        self.histories: set[str] = set()
         self.verdicts: dict[str, Verdict] = {}
-        self.violations: list[dict] = []
-        self.violation_counts: dict[str, int] = {}
+        self.violations: dict[str, dict] = {}  # by history, in first-seen order
 
-    def record(self, sim: Simulation, schedule: Schedule) -> None:
-        history = derive_history(sim.result().trace)
+    def record(self, trace: ExecutionTrace, schedule: Schedule) -> None:
+        history = derive_history(trace)
         key = history.canonical()
-        self.histories.add(key)
         if key not in self.verdicts:
             self.verdicts[key] = check_serializability(history)
         verdict = self.verdicts[key]
-        if not verdict.passed:
-            self.violation_counts[key] = self.violation_counts.get(key, 0) + 1
-            if self.violation_counts[key] == 1:
-                self.violations.append({
-                    "history": key,
-                    "witness": verdict.witness,
-                    "schedule": schedule.to_json(),
-                    "schedulesMatching": 1,
-                })
-            else:
-                for v in self.violations:
-                    if v["history"] == key:
-                        v["schedulesMatching"] = self.violation_counts[key]
+        if verdict.passed:
+            return
+        if key in self.violations:
+            self.violations[key]["schedulesMatching"] += 1
+        else:
+            self.violations[key] = {
+                "history": key,
+                "witness": verdict.witness,
+                "schedule": schedule.to_json(),
+                "schedulesMatching": 1,
+            }
 
     def result(self, runs: int, complete: bool, mode: str) -> ExplorationResult:
         return ExplorationResult(
-            runs, sorted(self.histories), self.violations, complete, mode
+            runs, sorted(self.verdicts), list(self.violations.values()), complete, mode
         )
 
 
@@ -107,55 +104,54 @@ def _ordered(choices: list[Decision], depth: int) -> list[Decision]:
     return ranked[rot:] + ranked[:rot]
 
 
+class _Descent:
+    """Policy for the unexplored part of an exhaustive run: take the first
+    ordered choice at each new frontier, pushing it on the stack, until every
+    transaction has decided or nothing is enabled. Then the fair policy
+    finishes the run: the remaining choices cannot change any response
+    payload, so the tail is determinized."""
+
+    def __init__(self, stack: list[tuple[list[Decision], int]]):
+        self.stack = stack
+        self.fair: FairPolicy | None = None
+
+    def next_decision(self, sim: Simulation) -> Decision | None:
+        if self.fair is None:
+            choices = [] if sim.all_decided() else _next_choices(sim)
+            if choices:
+                ordered = _ordered(choices, len(self.stack))
+                self.stack.append((ordered, 0))
+                return ordered[0]
+            self.fair = FairPolicy()
+        return self.fair.next_decision(sim)
+
+
 def explore_exhaustive(
     config: SimConfig,
     variant,
     scenario: Scenario,
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    strict_budget: bool = False,
-    granularity: str = "atomic",
     on_terminal=None,
 ) -> ExplorationResult:
-    from .engine import FairPolicy
-
     collector = _Collector()
     # Each stack frame is (ordered choices at that frontier, index taken).
     stack: list[tuple[list[Decision], int]] = []
     runs = 0
     complete = False
-    while True:
-        if runs >= bound:
-            if strict_budget:
-                raise BudgetExceeded(f"exhaustive exploration hit the {bound}-schedule budget")
-            break
-        sim = Simulation(config, variant, scenario, granularity=granularity)
+    while runs < bound:
+        sim = Simulation(config, variant, scenario, granularity=GRANULARITY)
         for choices, idx in stack:
             sim.apply(choices[idx])
-        while not sim.all_decided():
-            choices = _next_choices(sim)
-            if not choices:
-                break
-            ordered = _ordered(choices, len(stack))
-            stack.append((ordered, 0))
-            sim.apply(ordered[0])
-        # Once every transaction has decided, the remaining choices cannot
-        # change any response payload; determinize the tail.
-        fair = FairPolicy()
-        while True:
-            d = fair.next_decision(sim)
-            if d is None:
-                break
-            sim.apply(d)
-        sim.finish()
+        drive(sim, _Descent(stack))
         runs += 1
         schedule = Schedule(
-            "scripted", list(sim.decisions_taken), granularity=granularity, complete=False,
+            "scripted", list(sim.decisions_taken), granularity=GRANULARITY, complete=False,
         )
         if on_terminal is not None:
             on_terminal(schedule)
-        collector.record(sim, schedule)
+        collector.record(sim.result().trace, schedule)
         # Backtrack to the deepest frontier with an untried alternative; the
-        # next iteration replays that prefix and extends greedily again.
+        # next iteration replays that prefix and descends again.
         while stack and stack[-1][1] + 1 >= len(stack[-1][0]):
             stack.pop()
         if not stack:
@@ -172,22 +168,11 @@ def explore_random(
     scenario: Scenario,
     n: int = DEFAULT_RANDOM_SCHEDULES,
     seed: int = 0,
-    granularity: str = "atomic",
 ) -> ExplorationResult:
     collector = _Collector()
     for i in range(n):
-        schedule = Schedule("random", seed=seed + i, granularity=granularity)
-        sim = Simulation(config, variant, scenario, granularity=granularity)
-        from .engine import make_policy
-
-        policy = make_policy(schedule)
-        while True:
-            d = policy.next_decision(sim)
-            if d is None:
-                break
-            sim.apply(d)
-        sim.finish()
-        collector.record(sim, schedule)
+        schedule = Schedule("random", seed=seed + i, granularity=GRANULARITY)
+        collector.record(run(config, variant, scenario, schedule).trace, schedule)
     return collector.result(n, True, "random")
 
 
@@ -197,21 +182,13 @@ def explore(
     mode: str = "exhaustive",
     max_schedules: int | None = None,
     seed: int = 0,
-    config: SimConfig | None = None,
-    strict_budget: bool = False,
-    granularity: str = "atomic",
 ) -> ExplorationResult:
-    config = config or scenario.config
     if mode == "exhaustive":
         return explore_exhaustive(
-            config, variant, scenario,
-            bound=max_schedules or DEFAULT_EXHAUSTIVE_BOUND,
-            strict_budget=strict_budget,
-            granularity=granularity,
+            scenario.config, variant, scenario, bound=max_schedules or DEFAULT_EXHAUSTIVE_BOUND,
         )
     if mode == "random":
         return explore_random(
-            config, variant, scenario, n=max_schedules or DEFAULT_RANDOM_SCHEDULES, seed=seed,
-            granularity=granularity,
+            scenario.config, variant, scenario, n=max_schedules or DEFAULT_RANDOM_SCHEDULES, seed=seed,
         )
     raise ValueError(f"unknown exploration mode {mode!r}")

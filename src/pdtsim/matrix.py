@@ -20,7 +20,7 @@ from .checkers import (
     check_weak_ir,
 )
 from .engine import Schedule
-from .explore import explore
+from .explore import DEFAULT_EXHAUSTIVE_BOUND, explore
 from .model import derive_history
 from .protocols import BASE, NO_DDAP, NO_FAST, NO_SEAMLESS, VARIANTS, WEAK_IR, AlgorithmVariant
 from .scenarios import (
@@ -74,7 +74,7 @@ def _exploration_scenario(tag: str):
     return scenario_fids_replicated() if tag == NO_SEAMLESS else scenario_fids()
 
 
-def build_matrix(explore_bound: int = 8000) -> MatrixReport:
+def build_matrix(explore_bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> MatrixReport:
     cells: dict[str, dict[str, dict]] = {}
     for tag in VARIANTS:
         variant = AlgorithmVariant(tag)
@@ -123,11 +123,9 @@ def build_matrix(explore_bound: int = 8000) -> MatrixReport:
             check_weak_ir(ro_res.trace), f"trace of {ro.name}", ro_sched.to_json()
         )
 
-        # Strong invisible reads: twin substitution on the solo run.
-        solo_res = engine.run(solo.config, variant, solo, Schedule("fair"))
+        # Strong invisible reads: twin substitution on the same solo run.
         row["strong-ir"] = _cell(
-            check_strong_ir(solo_res.trace), f"twin replay on {solo.name}",
-            Schedule("fair").to_json(),
+            check_strong_ir(res.trace), f"twin replay on {solo.name}", sched.to_json()
         )
 
         # DAP / DDAP: two disjoint write-only transactions, interleaved.

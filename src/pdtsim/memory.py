@@ -21,10 +21,6 @@ WRITE = "write"
 CAS = "cas"
 
 
-def item_objects(item: str) -> list[str]:
-    return [f"{item}.val", f"{item}.seqNum", f"{item}.lockS", f"{item}.lockL"]
-
-
 class NodeMemory:
     """Base objects of one node, with a logging hook for primitive steps."""
 

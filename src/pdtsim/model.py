@@ -197,12 +197,6 @@ class DataPlacement:
     def items(self) -> list[str]:
         return sorted(self.initials)
 
-    def nodes(self) -> list[int]:
-        out: set[int] = set()
-        for grp in self.groups.values():
-            out.update(grp)
-        return sorted(out)
-
     def validate_against(self, n_nodes: int) -> None:
         for item, grp in self.groups.items():
             for node in grp:

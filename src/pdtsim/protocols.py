@@ -148,9 +148,7 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
         outcome, seqs, contacted = yield from _wait_all_validation(env, tid, reads, writes)
         if outcome == "timeout":
             for n in contacted:
-                yield SendMsg(("node", n), pmsg("restart", {
-                    "tid": tid, "reads": reads, "writes": [[k, v] for k, v in writes],
-                }))
+                yield SendMsg(("node", n), pmsg("restart", _txn_body(tid, reads, writes)))
             # Fall back to the two-round algorithm, re-reading from scratch.
             recorded = yield from _read_phase(env, prog, round_counter)
             if recorded.keys() != set(prog.read_set):
@@ -173,9 +171,7 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
             }))
     else:
         for n in contacted:
-            yield SendMsg(("node", n), pmsg("abort", {
-                "tid": tid, "reads": reads, "writes": [[k, v] for k, v in writes],
-            }))
+            yield SendMsg(("node", n), pmsg("abort", _txn_body(tid, reads, writes)))
     return {"outcome": outcome, "readSet": read_set, "writeSet": write_set}
 
 
@@ -227,6 +223,38 @@ def _decision_contacts(env: ProtocolEnv, reads, writes) -> list[int]:
     return env.item_nodes(items)
 
 
+def _round(contact, kind, body, done, timeout=None):
+    """Send one `kind` message to every contacted node, then collect their
+    `kind + "Reply"` votes until done(replied nodes) holds.
+
+    Returns (outcome, seqs): "commit", "abort" at the first non-commit vote,
+    or "timeout" when no message arrives within `timeout` ticks. seqs is the
+    max reported seqNum per write item of the body, zero when none reported.
+    """
+    for n in contact:
+        yield SendMsg(("node", n), pmsg(kind, body))
+    reply = kind + "Reply"
+    seqs = {k: 0 for k, _ in body.get("writes", ())}
+    replied: set[int] = set()
+    while not done(replied):
+        m = yield WaitRecv(timeout=timeout)
+        if m is TIMEOUT:
+            return "timeout", seqs
+        pl = m.payload
+        if pl["kind"] != reply:
+            continue
+        if pl["body"]["vote"] != "commit":
+            return "abort", seqs
+        replied.add(m.src.node)
+        for k, s in pl["body"].get("writeSeqs", ()):
+            seqs[k] = max(seqs[k], s)
+    return "commit", seqs
+
+
+def _txn_body(tid, reads, writes) -> dict:
+    return {"tid": tid, "reads": reads, "writes": [[k, v] for k, v in writes]}
+
+
 def _fast_validation(env: ProtocolEnv, tid, reads, writes):
     """Single round: every contacted node checks read seqNums and long-locks
     write items; all-commit votes from per-group quorums decide commit."""
@@ -234,28 +262,15 @@ def _fast_validation(env: ProtocolEnv, tid, reads, writes):
     if not contact:
         return "commit", {}, []
     items = [k for k, _ in reads] + [k for k, _ in writes]
-    for n in contact:
-        yield SendMsg(("node", n), pmsg("validate", {
-            "tid": tid, "reads": reads, "writes": [[k, v] for k, v in writes],
-        }))
     total_needed = None
     if env.variant.tag == NO_DDAP and writes:
         # Writers really lock all nodes; wait until only f can be missing.
         total_needed = env.config.n_nodes - env.placement.f
-    replied: set[int] = set()
-    seqs = {k: 0 for k, _ in writes}
-    while True:
-        m = yield WaitRecv()
-        pl = m.payload
-        if pl["kind"] != "validateReply":
-            continue
-        if pl["body"]["vote"] != "commit":
-            return "abort", None, contact
-        replied.add(m.src.node)
-        for k, s in pl["body"]["writeSeqs"]:
-            seqs[k] = max(seqs[k], s)
-        if env.quorum_met(items, replied, total_needed):
-            return "commit", seqs, contact
+    outcome, seqs = yield from _round(
+        contact, "validate", _txn_body(tid, reads, writes),
+        lambda replied: env.quorum_met(items, replied, total_needed),
+    )
+    return outcome, seqs, contact
 
 
 def _wait_all_validation(env: ProtocolEnv, tid, reads, writes):
@@ -264,25 +279,12 @@ def _wait_all_validation(env: ProtocolEnv, tid, reads, writes):
     contact = _decision_contacts(env, reads, writes)
     if not contact:
         return "commit", {}, []
-    for n in contact:
-        yield SendMsg(("node", n), pmsg("validate", {
-            "tid": tid, "reads": reads, "writes": [[k, v] for k, v in writes],
-        }))
-    replied: set[int] = set()
-    seqs = {k: 0 for k, _ in writes}
-    while replied != set(contact):
-        m = yield WaitRecv(timeout=env.timeout_ticks)
-        if m is TIMEOUT:
-            return "timeout", None, contact
-        pl = m.payload
-        if pl["kind"] != "validateReply":
-            continue
-        if pl["body"]["vote"] != "commit":
-            return "abort", None, contact
-        replied.add(m.src.node)
-        for k, s in pl["body"]["writeSeqs"]:
-            seqs[k] = max(seqs[k], s)
-    return "commit", seqs, contact
+    everyone = set(contact)
+    outcome, seqs = yield from _round(
+        contact, "validate", _txn_body(tid, reads, writes),
+        lambda replied: replied == everyone, timeout=env.timeout_ticks,
+    )
+    return outcome, seqs, contact
 
 
 def _two_round_validation(env: ProtocolEnv, tid, reads, writes):
@@ -290,40 +292,23 @@ def _two_round_validation(env: ProtocolEnv, tid, reads, writes):
     validation is two round trips by construction: a writer with an empty
     read set still runs a (degenerate) check round against its write nodes."""
     contact = _decision_contacts(env, reads, writes)
-    seqs = {k: 0 for k, _ in writes}
+    witems = [k for k, _ in writes]
+    seqs: dict[str, int] = {}
     if writes:
-        wcontact = env.item_nodes([k for k, _ in writes])
-        witems = [k for k, _ in writes]
-        for n in wcontact:
-            yield SendMsg(("node", n), pmsg("lock", {
-                "tid": tid, "writes": [[k, v] for k, v in writes],
-            }))
-        replied: set[int] = set()
-        while not env.quorum_met(witems, replied):
-            m = yield WaitRecv()
-            pl = m.payload
-            if pl["kind"] != "lockReply":
-                continue
-            if pl["body"]["vote"] != "commit":
-                return "abort", None, contact
-            replied.add(m.src.node)
-            for k, s in pl["body"]["writeSeqs"]:
-                seqs[k] = max(seqs[k], s)
-    if reads or writes:
-        ritems = [k for k, _ in reads]
-        rcontact = env.item_nodes(ritems) if reads else env.item_nodes([k for k, _ in writes])
-        quorum_items = ritems if reads else [k for k, _ in writes]
-        for n in rcontact:
-            yield SendMsg(("node", n), pmsg("check", {"tid": tid, "reads": reads}))
-        replied = set()
-        while not env.quorum_met(quorum_items, replied):
-            m = yield WaitRecv()
-            pl = m.payload
-            if pl["kind"] != "checkReply":
-                continue
-            if pl["body"]["vote"] != "commit":
-                return "abort", None, contact
-            replied.add(m.src.node)
+        outcome, seqs = yield from _round(
+            env.item_nodes(witems), "lock", {"tid": tid, "writes": [[k, v] for k, v in writes]},
+            lambda replied: env.quorum_met(witems, replied),
+        )
+        if outcome != "commit":
+            return outcome, None, contact
+    quorum_items = [k for k, _ in reads] or witems
+    if quorum_items:
+        outcome, _ = yield from _round(
+            env.item_nodes(quorum_items), "check", {"tid": tid, "reads": reads},
+            lambda replied: env.quorum_met(quorum_items, replied),
+        )
+        if outcome != "commit":
+            return outcome, None, contact
     return "commit", seqs, contact
 
 

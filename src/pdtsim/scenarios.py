@@ -62,12 +62,6 @@ class Scenario:
     def local_items(self, node: int) -> list[str]:
         return sorted(i for i, grp in self.placement.groups.items() if node in grp)
 
-    def transaction(self, txn_id: str) -> TransactionProgram:
-        for t in self.transactions:
-            if t.txn_id == txn_id:
-                return t
-        raise KeyError(txn_id)
-
     def to_json(self) -> dict:
         d = self.placement.to_json()
         d["name"] = self.name

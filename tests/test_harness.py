@@ -140,12 +140,10 @@ def test_orphan_recv_detected():
         step_depths(ExecutionTrace(steps))
 
 
-def test_explore_strict_budget_raises(base):
-    from pdtsim.errors import BudgetExceeded
-
-    scen = scenario_fids()
-    with pytest.raises(BudgetExceeded):
-        explore(scen, base, mode="exhaustive", max_schedules=5, strict_budget=True)
+def test_explore_budget_stops_incomplete(base):
+    res = explore(scenario_fids(), base, mode="exhaustive", max_schedules=5)
+    assert res.schedules_run == 5
+    assert res.complete is False
 
 
 def test_no_ddap_fids_contends_on_global_lock():
@@ -231,6 +229,17 @@ def test_cli_usage_errors(tmp_path):
                  "--property", "weak-ir"]) == 2
     assert main(["run", "--scenario", "fids", "--algorithm", "bogus",
                  "--schedule", "random:1", "--out", str(tmp_path / "x.jsonl")]) == 2
+
+
+@pytest.mark.parametrize("granularity", ["reduced", "bogus"])
+def test_cli_run_rejects_unknown_granularity(tmp_path, capsys, granularity):
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"kind": "fair", "granularity": granularity}))
+    code = main(["run", "--scenario", "solo-r1", "--algorithm", "base",
+                 "--schedule", str(sched), "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: unknown granularity {granularity!r}\n"
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_cli_run_rejects_builtin_schedule_mismatch(tmp_path):

@@ -387,3 +387,22 @@ def test_trace_index_matches_fresh_scans(tmp_path):
                     if s.txn == txn and depths[s.i] is not None and (s.i, resp.i) in hb:
                         pd = max(pd, depths[s.i])
                 assert partial_depth(trace, length, txn) == pd, (label, txn, length)
+
+
+def test_dropped_send_interval_ends_at_the_crash():
+    # Cut the fair solo run after 85 decisions and crash node 2: the
+    # coordinator's last message to node 2, sent well before, is dropped, so
+    # t1's interval ends at the crash (step 85), not at that send or at the
+    # last handler response (step 84).
+    scen = scenario_solo(1)
+    base = AlgorithmVariant("base")
+    fair = run(scen.config, base, scen, Schedule("fair"))
+    res = run(scen.config, base, scen, Schedule(
+        "scripted", list(fair.decisions[:85]) + [Decision("crash", node=2)], complete=False,
+    ))
+    steps = res.trace.steps
+    assert steps[85].kind == "crash"
+    dropped = [s.data["msgId"] for s in steps if s.kind == "note" and s.tag == "drop"]
+    sends = {s.msg_id: s.i for s in steps if s.kind == "send"}
+    assert dropped and all(sends[m] < 84 for m in dropped)
+    assert intervals(res.trace) == {"t1": (0, 85)}
