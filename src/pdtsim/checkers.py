@@ -12,7 +12,7 @@ from typing import Any, Callable, Iterable
 
 from . import engine
 from .engine import Schedule, SimConfig
-from .errors import ScheduleIncompatible, TooLarge
+from .errors import InvariantViolation, ScheduleIncompatible, TooLarge
 from .memory import GLOBAL_LOCK, contending_pairs
 from .model import (
     CRASH,
@@ -576,7 +576,8 @@ def check_seamless_ft(
 
 
 def verify_trace_invariants(trace: ExecutionTrace) -> None:
-    """Assert the structural invariants every generated trace must satisfy.
+    """Check the structural invariants every generated trace must satisfy,
+    raising InvariantViolation on the first that fails.
 
     Covers: message integrity, crash finality, happened-before acyclicity,
     depth monotonicity along happened-before, per-item seqNum monotonicity,
@@ -589,12 +590,16 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
     sends: dict[Any, Step] = {}
     for s in trace.steps:
         if s.kind == SEND:
-            assert s.msg_id not in sends, f"duplicate send msgId {s.msg_id}"
+            if s.msg_id in sends:
+                raise InvariantViolation(f"duplicate send msgId {s.msg_id}")
             sends[s.msg_id] = s
         elif s.kind == RECV:
-            assert s.msg_id in sends, f"recv {s.i} has no prior send"
-            assert s.msg_id not in seen_recv, f"message {s.msg_id} delivered twice"
-            assert sends[s.msg_id].txn == s.txn, "send/recv transaction mismatch"
+            if s.msg_id not in sends:
+                raise InvariantViolation(f"recv {s.i} has no prior send")
+            if s.msg_id in seen_recv:
+                raise InvariantViolation(f"message {s.msg_id} delivered twice")
+            if sends[s.msg_id].txn != s.txn:
+                raise InvariantViolation("send/recv transaction mismatch")
             seen_recv.add(s.msg_id)
 
     # Crash finality.
@@ -603,21 +608,23 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         if s.kind == CRASH:
             crashed_at[s.fields["node"]] = s.i
         elif s.proc is not None and s.proc.kind == "node" and s.proc.node in crashed_at:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"step {s.i} on node {s.proc.node} after its crash at {crashed_at[s.proc.node]}"
             )
 
     # Happened-before is a strict partial order aligned with trace order.
     hb = happened_before(trace)
     for (a, b) in hb:
-        assert a < b, f"happened-before edge ({a},{b}) goes backwards"
+        if not a < b:
+            raise InvariantViolation(f"happened-before edge ({a},{b}) goes backwards")
 
     # Depth monotone along happened-before within a transaction.
     depths = trace.index.depths
     for (a, b) in hb:
         sa, sb = trace.steps[a], trace.steps[b]
         if sa.txn is not None and sa.txn == sb.txn and depths[a] is not None and depths[b] is not None:
-            assert depths[a] <= depths[b], f"depth not monotone on {a}->{b}"
+            if not depths[a] <= depths[b]:
+                raise InvariantViolation(f"depth not monotone on {a}->{b}")
 
     # seqNum monotone per (node, object).
     last_seq: dict[tuple[int, str], int] = {}
@@ -625,36 +632,32 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         if s.kind == PRIM and s.op == "write" and s.obj.endswith(".seqNum"):
             key = (s.proc.node, s.obj)
             val = s.fields["args"][0]
-            assert val >= last_seq.get(key, 0), f"seqNum decreased at step {s.i}"
+            if not val >= last_seq.get(key, 0):
+                raise InvariantViolation(f"seqNum decreased at step {s.i}")
             last_seq[key] = val
 
     # Long-lock safety: CAS wins only on free locks; writes release own locks.
+    # Each lock's (step, holder) changes are kept for the release clause.
     holders: dict[tuple[int, str], Any] = {}
+    lock_events: dict[tuple[int, str], list[tuple[int, Any]]] = {}
     for s in trace.steps:
-        if s.kind != PRIM:
-            continue
-        if not (s.obj.endswith(".lockL") or s.obj == GLOBAL_LOCK):
+        if s.kind != PRIM or not (s.obj.endswith(".lockL") or s.obj == GLOBAL_LOCK):
             continue
         key = (s.proc.node, s.obj)
         if s.op == "cas" and s.fields["ret"] is True:
-            assert holders.get(key) is None, f"lock CAS won over a held lock at {s.i}"
+            if holders.get(key) is not None:
+                raise InvariantViolation(f"lock CAS won over a held lock at {s.i}")
             holders[key] = s.fields["args"][1]
         elif s.op == "write":
             holders[key] = s.fields["args"][0]
+        else:
+            continue
+        lock_events.setdefault(key, []).append((s.i, holders[key]))
 
     # Every closed-interval transaction released its locks by interval end
     # (crash-free traces only; a crash may orphan a lock legitimately).
     if not crashed_at:
-        iv = trace.index.intervals
-        lock_events: dict[tuple[int, str], list[tuple[int, Any]]] = {}
-        for s in trace.steps:
-            if s.kind == PRIM and (s.obj.endswith(".lockL") or s.obj == GLOBAL_LOCK):
-                key = (s.proc.node, s.obj)
-                if s.op == "cas" and s.fields["ret"] is True:
-                    lock_events.setdefault(key, []).append((s.i, s.fields["args"][1]))
-                elif s.op == "write":
-                    lock_events.setdefault(key, []).append((s.i, s.fields["args"][0]))
-        for txn, (start, end) in iv.items():
+        for txn, (start, end) in trace.index.intervals.items():
             if end >= len(trace.steps) - 1:
                 continue  # interval still open at trace end
             for key, events in lock_events.items():
@@ -662,7 +665,8 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
                 for i, v in events:
                     if i <= end:
                         holder = v
-                assert holder != txn, f"{txn} still holds {key} at interval end {end}"
+                if holder == txn:
+                    raise InvariantViolation(f"{txn} still holds {key} at interval end {end}")
 
     # Read atomicity: every ok ReadReply pair matches a state the replica held.
     states: dict[tuple[int, str], set[tuple]] = {}
@@ -693,9 +697,8 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
             if body["vote"] != "ok":
                 continue
             key = (s.proc.node, body["key"])
-            assert (body["seq"], repr(body["val"])) in states[key], (
-                f"ReadReply at {s.i} returned a state the replica never held"
-            )
+            if (body["seq"], repr(body["val"])) not in states[key]:
+                raise InvariantViolation(f"ReadReply at {s.i} returned a state the replica never held")
 
     # Decision agreement: a commit broadcast happens only if no abort vote
     # reached the coordinator before it (late abort votes may drain after).
@@ -713,13 +716,13 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
             continue
         body = (s.payload or {}).get("body") or {}
         if body.get("vote") == "abort" and s.txn in first_commit_send:
-            assert s.i > first_commit_send[s.txn], (
-                f"{s.txn} broadcast commit after receiving an abort vote at {s.i}"
-            )
+            if not s.i > first_commit_send[s.txn]:
+                raise InvariantViolation(f"{s.txn} broadcast commit after receiving an abort vote at {s.i}")
 
     # Weak invisible reads holds on every generated trace of these protocols.
     weak = check_weak_ir(trace)
-    assert weak.passed, f"weak-ir violated: {weak.witness}"
+    if not weak.passed:
+        raise InvariantViolation(f"weak-ir violated: {weak.witness}")
 
     # Fault-tolerant configurations can never learn a read value before
     # partial depth 2 (the read-delay lower bound, asserted at runtime).
@@ -729,7 +732,8 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         and trace.scenario.placement.k >= 3
     ):
         rd = check_read_delay(trace)
-        assert rd.passed, f"read-delay violated: {rd.witness}"
+        if not rd.passed:
+            raise InvariantViolation(f"read-delay violated: {rd.witness}")
 
 
 def _check_seamless_ft_of_trace(trace: ExecutionTrace, s: int = 1) -> Verdict:
@@ -739,16 +743,18 @@ def _check_seamless_ft_of_trace(trace: ExecutionTrace, s: int = 1) -> Verdict:
 
 
 # Every property `pdtsim check` decides on one recorded trace, in the CLI's order.
+# `pdtsim matrix` uses it too. Entries look their checker up when called, so a
+# wrapper installed on a module function (a profiler, a tracer) sees the call.
 CHECKERS_BY_NAME: dict[str, Callable[..., Verdict]] = {
     "serializability": lambda trace: check_serializability(derive_history(trace)),
     "weak-progress": lambda trace: check_weak_progress([trace]),
-    "weak-ir": check_weak_ir,
-    "strong-ir": check_strong_ir,
-    "dap": check_dap,
-    "ddap": check_ddap,
-    "fast-decision": check_fast_decision,
+    "weak-ir": lambda trace: check_weak_ir(trace),
+    "strong-ir": lambda trace: check_strong_ir(trace),
+    "dap": lambda trace: check_dap(trace),
+    "ddap": lambda trace: check_ddap(trace),
+    "fast-decision": lambda trace: check_fast_decision(trace),
     "seamless-ft": _check_seamless_ft_of_trace,
-    "read-delay": check_read_delay,
+    "read-delay": lambda trace: check_read_delay(trace),
 }
 PROPERTIES = tuple(CHECKERS_BY_NAME)
 

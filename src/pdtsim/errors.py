@@ -43,3 +43,10 @@ class ScheduleIncompatible(PdtsimError):
 
 class RunawayRun(PdtsimError):
     """A single run exceeded the engine's decision cap (non-terminating schedule)."""
+
+
+class InvariantViolation(PdtsimError, AssertionError):
+    """A trace broke one of the structural invariants every run must satisfy.
+
+    Also an AssertionError, so callers that catch a failed check keep working.
+    """

@@ -10,38 +10,34 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import engine
-from .checkers import (
-    check_dap,
-    check_ddap,
-    check_fast_decision,
-    check_seamless_ft,
-    check_serializability,
-    check_strong_ir,
-    check_weak_ir,
-)
+from .checkers import CHECKERS_BY_NAME, check_seamless_ft
 from .engine import Schedule
 from .explore import DEFAULT_EXHAUSTIVE_BOUND, explore
-from .model import derive_history
 from .protocols import BASE, NO_DDAP, NO_FAST, NO_SEAMLESS, VARIANTS, WEAK_IR, AlgorithmVariant
-from .scenarios import (
-    fids_schedule,
-    rfids_schedule,
-    scenario_disjoint_writers,
-    scenario_fids,
-    scenario_fids_replicated,
-    scenario_readonly_pair,
-    scenario_rfids,
-    scenario_solo,
-)
+from .scenarios import builtin_schedule, get_scenario
+
+# The one-trace columns: property -> (scenario, schedule, evidence label). The
+# cell is the verdict of the checker `pdtsim check` runs for that property, on
+# the variant's run of that scenario under that schedule.
+EVIDENCE: dict[str, tuple[str, Schedule, str]] = {
+    # Fast decision on a synchronous failure-free solo run.
+    "fast-decision": ("solo-r1", Schedule("fair"), "solo run on"),
+    # Weak invisible reads: a read-only transaction next to a writer.
+    "weak-ir": ("readonly-pair", Schedule("random", seed=11), "trace of"),
+    # Strong invisible reads: twin substitution on the same solo run.
+    "strong-ir": ("solo-r1", Schedule("fair"), "twin replay on"),
+    # DAP / DDAP: two disjoint write-only transactions, interleaved.
+    "dap": ("disjoint-writers", Schedule("fair"), "trace of"),
+    "ddap": ("disjoint-writers", Schedule("fair"), "trace of"),
+}
 
 
 @dataclass
 class MatrixReport:
     cells: dict[str, dict[str, dict]]  # variant -> property -> cell
-    explore_bound: int
 
     def to_json(self) -> dict:
-        return {"exploreBound": self.explore_bound, "cells": self.cells}
+        return {"exploreBound": DEFAULT_EXHAUSTIVE_BOUND, "cells": self.cells}
 
     def to_markdown(self) -> str:
         # Columns are the checked properties, in the order build_matrix checks them.
@@ -69,91 +65,64 @@ def _cell(verdict, evidence: str, schedule: Any = None) -> dict:
     return cell
 
 
-def _exploration_scenario(tag: str):
+def _serializability(variant: AlgorithmVariant) -> dict:
+    """base is refuted by the builtin counterexample schedules; the others
+    survive bounded exhaustive exploration."""
+    if variant.tag == BASE:
+        witnesses, schedules, passed = {}, {}, True
+        for name in ("fids", "rfids"):
+            scen = get_scenario(name)
+            sched = builtin_schedule(name, variant, scen)
+            trace = engine.run(scen.config, variant, scen, sched).trace
+            verdict = CHECKERS_BY_NAME["serializability"](trace)
+            passed = passed and verdict.passed
+            witnesses[name], schedules[name] = verdict.witness, sched.to_json()
+        return {"pass": passed, "evidence": "builtin counterexample schedules",
+                "witness": witnesses, "schedule": schedules}
     # no-seamless only runs on replicated-unsharded placements.
-    return scenario_fids_replicated() if tag == NO_SEAMLESS else scenario_fids()
+    scen = get_scenario("fids-replicated" if variant.tag == NO_SEAMLESS else "fids")
+    res = explore(scen, variant, mode="exhaustive")
+    return {
+        "pass": not res.violations,
+        "evidence": f"bounded exhaustive exploration of {scen.name} ({res.schedules_run} schedules)",
+        "witness": res.violations or None,
+    }
 
 
-def build_matrix(explore_bound: int = DEFAULT_EXHAUSTIVE_BOUND) -> MatrixReport:
+def build_matrix() -> MatrixReport:
     cells: dict[str, dict[str, dict]] = {}
     for tag in VARIANTS:
         variant = AlgorithmVariant(tag)
-        row: dict[str, dict] = {}
-
-        # Serializability: the base algorithm is refuted by the builtin
-        # counterexample schedules; the others survive bounded exploration.
-        if tag == BASE:
-            fids = scenario_fids()
-            fs = fids_schedule(variant, fids)
-            res = engine.run(fids.config, variant, fids, fs)
-            verdict = check_serializability(derive_history(res.trace))
-            rfids = scenario_rfids()
-            rs = rfids_schedule(variant, rfids)
-            res_r = engine.run(rfids.config, variant, rfids, rs)
-            verdict_r = check_serializability(derive_history(res_r.trace))
-            row["serializability"] = {
-                "pass": verdict.passed and verdict_r.passed,
-                "evidence": "builtin counterexample schedules",
-                "witness": {"fids": verdict.witness, "rfids": verdict_r.witness},
-                "schedule": {"fids": fs.to_json(), "rfids": rs.to_json()},
-            }
-        else:
-            scen = _exploration_scenario(tag)
-            res = explore(scen, variant, mode="exhaustive", max_schedules=explore_bound)
-            row["serializability"] = {
-                "pass": not res.violations,
-                "evidence": f"bounded exhaustive exploration of {scen.name} "
-                            f"({res.schedules_run} schedules)",
-                "witness": res.violations or None,
-            }
-
-        # Fast decision on a synchronous failure-free solo run.
-        solo = scenario_solo(1)
-        sched = Schedule("fair")
-        res = engine.run(solo.config, variant, solo, sched)
-        row["fast-decision"] = _cell(
-            check_fast_decision(res.trace), f"solo run on {solo.name}", sched.to_json()
-        )
-
-        # Weak invisible reads: a read-only transaction next to a writer.
-        ro = scenario_readonly_pair()
-        ro_sched = Schedule("random", seed=11)
-        ro_res = engine.run(ro.config, variant, ro, ro_sched)
-        row["weak-ir"] = _cell(
-            check_weak_ir(ro_res.trace), f"trace of {ro.name}", ro_sched.to_json()
-        )
-
-        # Strong invisible reads: twin substitution on the same solo run.
-        row["strong-ir"] = _cell(
-            check_strong_ir(res.trace), f"twin replay on {solo.name}", sched.to_json()
-        )
-
-        # DAP / DDAP: two disjoint write-only transactions, interleaved.
-        dw = scenario_disjoint_writers()
-        dw_sched = Schedule("fair")
-        dw_res = engine.run(dw.config, variant, dw, dw_sched)
-        row["dap"] = _cell(check_dap(dw_res.trace), f"trace of {dw.name}", dw_sched.to_json())
-        row["ddap"] = _cell(check_ddap(dw_res.trace), f"trace of {dw.name}", dw_sched.to_json())
-
+        row = {"serializability": _serializability(variant)}
+        traces = {}  # each (scenario, schedule) pair runs once per variant
+        for prop, (name, sched, label) in EVIDENCE.items():
+            key = (name, repr(sched))
+            if key not in traces:
+                scen = get_scenario(name)
+                traces[key] = engine.run(scen.config, variant, scen, sched).trace
+            row[prop] = _cell(CHECKERS_BY_NAME[prop](traces[key]), f"{label} {name}", sched.to_json())
         # Seamless fault tolerance at s=1: the crash-injection sweep.
+        solo = get_scenario("solo-r1")
         row["seamless-ft"] = _cell(
             check_seamless_ft(solo.config, variant, solo, Schedule("fair"), s=1),
             f"crash-injection sweep over {solo.name}",
         )
-
         cells[tag] = row
-    return MatrixReport(cells, explore_bound)
+    return MatrixReport(cells)
 
 
+# The properties each variant gives up; it keeps every other one.
+LOSES = {
+    BASE: {"serializability"},
+    NO_FAST: {"fast-decision"},
+    WEAK_IR: {"strong-ir"},
+    NO_SEAMLESS: {"seamless-ft"},
+    NO_DDAP: {"dap", "ddap"},
+}
 EXPECTED_MATRIX = {
-    BASE: {"serializability": False, "fast-decision": True, "weak-ir": True,
-           "strong-ir": True, "dap": True, "ddap": True, "seamless-ft": True},
-    NO_FAST: {"serializability": True, "fast-decision": False, "weak-ir": True,
-              "strong-ir": True, "dap": True, "ddap": True, "seamless-ft": True},
-    WEAK_IR: {"serializability": True, "fast-decision": True, "weak-ir": True,
-              "strong-ir": False, "dap": True, "ddap": True, "seamless-ft": True},
-    NO_SEAMLESS: {"serializability": True, "fast-decision": True, "weak-ir": True,
-                  "strong-ir": True, "dap": True, "ddap": True, "seamless-ft": False},
-    NO_DDAP: {"serializability": True, "fast-decision": True, "weak-ir": True,
-              "strong-ir": True, "dap": False, "ddap": False, "seamless-ft": True},
+    tag: {
+        prop: prop not in lost
+        for prop in ("serializability", "fast-decision", "weak-ir", "strong-ir", "dap", "ddap", "seamless-ft")
+    }
+    for tag, lost in LOSES.items()
 }

@@ -109,12 +109,11 @@ class ProtocolEnv:
         body = msg.payload["body"]
         if kind == "read":
             return _handle_read(self, node, client, body)
-        if kind == "validate":
-            if self.variant.tag == NO_DDAP:
-                return _handle_validate_global(self, node, client, body)
-            return _handle_validate(self, node, client, body)
-        if kind == "lock":
-            return _handle_lock(self, node, client, body)
+        if kind == "validate" and self.variant.tag == NO_DDAP:
+            return _handle_validate_global(self, node, client, body)
+        if kind in ("validate", "lock"):
+            # no-fast's lock round is validation with an empty read set.
+            return _handle_validate(self, node, client, body, kind + "Reply")
         if kind == "check":
             return _handle_check(self, node, client, body)
         if kind == "commit":
@@ -350,11 +349,12 @@ def _release_cased(cased):
         yield PrimOp(key, "write", [None])
 
 
-def _handle_validate(env: ProtocolEnv, node: int, client, body):
-    """base / weak-ir validation: read items must be lock-free with matching
-    seqNums; write items get lockL CASed. weak-ir writers also lock reads."""
+def _handle_validate(env: ProtocolEnv, node: int, client, body, reply: str):
+    """base / weak-ir validation and no-fast's lock round: read items must be
+    lock-free with matching seqNums; write items get lockL CASed. weak-ir
+    writers also lock reads."""
     tid = body["tid"]
-    reads = dict((k, s) for k, s in body["reads"])
+    reads = dict((k, s) for k, s in body.get("reads", ()))
     writes = dict((k, v) for k, v in body["writes"])
     lock_reads = env.variant.tag == WEAK_IR and bool(writes)
     success = True
@@ -385,10 +385,10 @@ def _handle_validate(env: ProtocolEnv, node: int, client, body):
             seq = yield PrimOp(f"{key}.seqNum", "read")
             write_seqs.append([key, seq])
     if success:
-        yield SendMsg(client, pmsg("validateReply", {"vote": "commit", "writeSeqs": write_seqs}))
+        yield SendMsg(client, pmsg(reply, {"vote": "commit", "writeSeqs": write_seqs}))
     else:
         yield from _release_cased(cased)
-        yield SendMsg(client, pmsg("validateReply", {"vote": "abort", "writeSeqs": []}))
+        yield SendMsg(client, pmsg(reply, {"vote": "abort", "writeSeqs": []}))
 
 
 def _handle_validate_global(env: ProtocolEnv, node: int, client, body):
@@ -425,32 +425,6 @@ def _handle_validate_global(env: ProtocolEnv, node: int, client, body):
         if locked:
             yield PrimOp(GLOBAL_LOCK, "write", [None])
         yield SendMsg(client, pmsg("validateReply", {"vote": "abort", "writeSeqs": []}))
-
-
-def _handle_lock(env: ProtocolEnv, node: int, client, body):
-    """no-fast round 1: long-lock the local write items."""
-    tid = body["tid"]
-    writes = dict((k, v) for k, v in body["writes"])
-    success = True
-    write_seqs = []
-    cased: list[str] = []
-    for key in _local_items(env, node, list(writes)):
-        held = yield PrimOp(f"{key}.lockL", "read")
-        if held is not None:
-            success = False
-            break
-        ok = yield PrimOp(f"{key}.lockL", "cas", [None, tid])
-        if not ok:
-            success = False
-            break
-        cased.append(f"{key}.lockL")
-        seq = yield PrimOp(f"{key}.seqNum", "read")
-        write_seqs.append([key, seq])
-    if success:
-        yield SendMsg(client, pmsg("lockReply", {"vote": "commit", "writeSeqs": write_seqs}))
-    else:
-        yield from _release_cased(cased)
-        yield SendMsg(client, pmsg("lockReply", {"vote": "abort", "writeSeqs": []}))
 
 
 def _handle_check(env: ProtocolEnv, node: int, client, body):
@@ -526,10 +500,6 @@ def _handle_abort(env: ProtocolEnv, node: int, body):
 def _handle_restart(env: ProtocolEnv, node: int, body):
     """no-seamless fallback signal: drop every long lock held for this txn."""
     tid = body["tid"]
-    if env.variant.tag == NO_DDAP:
-        if body["writes"]:
-            yield from _release_long_lock(tid, GLOBAL_LOCK)
-        return
     keys = [k for k, _ in body["reads"]] + [k for k, _ in body["writes"]]
     for key in _local_items(env, node, keys):
         yield from _release_long_lock(tid, f"{key}.lockL")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from pdtsim.engine import Decision, EmitNote, PrimOp, Schedule, SendMsg, SimConfig, Simulation
@@ -12,6 +14,18 @@ from pdtsim.scenarios import Scenario
 @pytest.fixture
 def base():
     return AlgorithmVariant("base")
+
+
+@pytest.fixture(scope="session")
+def matrix_report(tmp_path_factory):
+    """One `pdtsim matrix --out report.md --json report.json` per session:
+    its exit code, the markdown table and the parsed JSON."""
+    from pdtsim.cli import main
+
+    out = tmp_path_factory.mktemp("matrix")
+    md, js = out / "report.md", out / "report.json"
+    code = main(["matrix", "--out", str(md), "--json", str(js)])
+    return {"exit": code, "markdown": md.read_text(), "json": json.loads(js.read_text())}
 
 
 def make_scenario(items, groups, k, f, txns, *, n_nodes=None, procs=2, clients=None,

@@ -21,7 +21,7 @@ from pdtsim.checkers import (
 from pdtsim.cli import main
 from pdtsim.engine import Schedule
 from pdtsim.explore import explore
-from pdtsim.matrix import EXPECTED_MATRIX, build_matrix
+from pdtsim.matrix import EXPECTED_MATRIX
 from pdtsim.model import derive_history, txn_depth, value_learned_events, partial_depth
 from pdtsim.protocols import AlgorithmVariant, VARIANTS
 from pdtsim.scenarios import (
@@ -29,7 +29,6 @@ from pdtsim.scenarios import (
     fids_schedule,
     rfids_schedule,
     scenario_fids,
-    scenario_fids_replicated,
     scenario_rfids,
     scenario_rfids_solo,
     scenario_solo,
@@ -81,16 +80,18 @@ def test_c2_rfids_reproduction(base):
     _ok("2 rfids-reproduction (3-cycle, crash-injected solo depth 4, read delay >= 2)")
 
 
-def test_c3_property_matrix(base):
-    report = build_matrix()
+def test_c3_property_matrix(matrix_report):
+    cells = matrix_report["json"]["cells"]
+    assert cells.keys() == EXPECTED_MATRIX.keys()
     for variant, expected in EXPECTED_MATRIX.items():
+        assert cells[variant].keys() == expected.keys(), variant  # exactly the seven columns
         for prop, want in expected.items():
-            got = report.cells[variant][prop]["pass"]
+            got = cells[variant][prop]["pass"]
             assert got == want, f"{variant}/{prop}: expected {'PASS' if want else 'FAIL'}"
     # Every FAIL cell carries a replayable witness schedule.
     fail_cells = [
         (variant, prop, cell)
-        for variant, row in report.cells.items()
+        for variant, row in cells.items()
         for prop, cell in row.items()
         if not cell["pass"]
     ]
@@ -158,15 +159,17 @@ def test_c6_oracle_cross_validation():
     _ok("6 oracle cross-validation (1000 histories, 0 disagreements)")
 
 
-def test_c7_exhaustive_exploration():
-    fids = scenario_fids()
-    res = explore(fids, AlgorithmVariant("base"), mode="exhaustive")
+def test_c7_exhaustive_exploration(matrix_report):
+    res = explore(scenario_fids(), AlgorithmVariant("base"), mode="exhaustive")
     assert len(res.violations) >= 1
-    for tag in ("no-fast", "weak-ir", "no-ddap"):
-        res = explore(fids, AlgorithmVariant(tag), mode="exhaustive")
-        assert res.violations == [], tag
-    res = explore(scenario_fids_replicated(), AlgorithmVariant("no-seamless"), mode="exhaustive")
-    assert res.violations == []
+    # The matrix's serializability cells of the other variants are the same
+    # exhaustive exploration at the default bound.
+    cells = matrix_report["json"]["cells"]
+    for tag, scen in (("no-fast", "fids"), ("weak-ir", "fids"), ("no-ddap", "fids"),
+                      ("no-seamless", "fids-replicated")):
+        cell = cells[tag]["serializability"]
+        assert cell["evidence"].startswith(f"bounded exhaustive exploration of {scen} ("), tag
+        assert cell["pass"] and cell["witness"] is None, tag
     _ok("7 exploration (base >= 1 violation; all four variants 0)")
 
 

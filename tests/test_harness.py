@@ -9,6 +9,7 @@ from pdtsim.checkers import check_read_delay, check_serializability
 from pdtsim.cli import main
 from pdtsim.engine import Schedule, Simulation
 from pdtsim.explore import explore
+from pdtsim.matrix import EVIDENCE
 from pdtsim.model import derive_history, txn_depth
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
@@ -180,14 +181,32 @@ def test_exploration_visits_each_interleaving_once(base):
     assert res.schedules_run > 1
 
 
-def test_cli_matrix(tmp_path):
-    md = tmp_path / "report.md"
-    js = tmp_path / "report.json"
-    assert main(["matrix", "--out", str(md), "--json", str(js)]) == 0
-    table = md.read_text()
+def test_cli_matrix(matrix_report):
+    assert matrix_report["exit"] == 0
+    table = matrix_report["markdown"]
     assert "| base | FAIL | PASS | PASS | PASS | PASS | PASS | PASS |" in table
-    payload = json.loads(js.read_text())
+    payload = matrix_report["json"]
     assert payload["cells"]["no-ddap"]["dap"]["pass"] is False
+
+
+def test_cli_check_reproduces_matrix_cells(matrix_report, tmp_path, capsys):
+    """Every one-trace matrix cell is what `pdtsim check` says about a
+    `pdtsim run` of its scenario under the cell's schedule."""
+    for variant, row in matrix_report["json"]["cells"].items():
+        for prop, (scenario, _, _) in EVIDENCE.items():
+            cell = row[prop]
+            sched, trace = tmp_path / f"{variant}-{prop}.json", tmp_path / f"{variant}-{prop}.jsonl"
+            sched.write_text(json.dumps(cell["schedule"]))
+            assert main(["run", "--scenario", scenario, "--algorithm", variant,
+                         "--schedule", str(sched), "--out", str(trace)]) == 0
+            capsys.readouterr()
+            code = main(["check", "--trace", str(trace), "--property", prop])
+            verdict = json.loads(capsys.readouterr().out)
+            where = f"{variant}/{prop}"
+            assert code == (0 if cell["pass"] else 1), where
+            assert verdict["pass"] == cell["pass"], where
+            assert verdict["witness"] == cell.get("witness"), where
+            assert verdict["details"] == cell.get("details", {}), where
 
 
 def test_trace_io_roundtrip(tmp_path, base):
