@@ -14,6 +14,7 @@ from typing import Any
 
 from .errors import (
     AlreadyCrashed,
+    MalformedInput,
     PlacementError,
     RunawayRun,
     ScheduleStuck,
@@ -31,11 +32,15 @@ from .model import (
     ProcessRef,
     Step,
     TransactionProgram,
+    json_int,
+    json_list,
+    json_object,
 )
 
 MAX_DECISIONS = 200_000  # safety valve against non-terminating schedules
 ASYNC_GST = 10**9  # effectively "never stabilizes" for finite runs
 GRANULARITIES = ("exact", "atomic")
+DECISION_KINDS = ("step", "deliver", "crash", "tick")
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,11 @@ class SimConfig:
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
-        return SimConfig(d["nNodes"], d["procsPerNode"], d["nClients"], d["delta"], d["gst"], d["seed"])
+        d = json_object(d, "sim config")
+        values = [d[k] for k in ("nNodes", "procsPerNode", "nClients", "delta", "gst", "seed")]
+        if any(type(v) is not int for v in values):
+            raise MalformedInput(f"sim config fields must be integers: {d!r}")
+        return SimConfig(*values)
 
 
 # --------------------------------------------------------------------------
@@ -117,6 +126,7 @@ class Message:
     payload: dict
     sent_tick: int
     sent_step: int
+    deliver: "Decision"  # the one delivery decision for this message
 
 
 # --------------------------------------------------------------------------
@@ -146,12 +156,17 @@ class Decision:
 
     @staticmethod
     def from_json(d: dict) -> "Decision":
+        d = json_object(d, "decision")
+        if d.get("t") not in DECISION_KINDS:
+            raise MalformedInput(
+                f"decision kind {d.get('t')!r} is not one of {', '.join(DECISION_KINDS)}"
+            )
         return Decision(
             d["t"],
             proc=ProcessRef.from_json(d["proc"]) if "proc" in d else None,
-            msg=d.get("msg"),
-            pin=d.get("pin"),
-            node=d.get("node"),
+            msg=json_int(d, "msg", "decision"),
+            pin=json_int(d, "pin", "decision"),
+            node=json_int(d, "node", "decision"),
         )
 
 
@@ -191,14 +206,16 @@ class Schedule:
 
     @staticmethod
     def from_json(d: dict) -> "Schedule":
+        d = json_object(d, "schedule")
+        decisions = json_list(d.get("decisions", []), "schedule field 'decisions'")
         return Schedule(
             d["kind"],
-            [Decision.from_json(x) for x in d.get("decisions", [])],
-            d.get("seed"),
+            [Decision.from_json(x) for x in decisions],
+            json_int(d, "seed", "schedule"),
             d.get("granularity", "exact"),
             d.get("tolerant", False),
             d.get("complete", True),
-            d.get("completionSeed"),
+            json_int(d, "completionSeed", "schedule"),
         )
 
 
@@ -247,12 +264,14 @@ class _Handler:
 
 
 class _Proc:
-    __slots__ = ("ref", "handler", "queue")
+    __slots__ = ("ref", "handler", "queue", "step", "inbound")
 
     def __init__(self, ref: ProcessRef):
         self.ref = ref
         self.handler: _Handler | None = None
         self.queue: list[TransactionProgram] = []  # client transaction backlog
+        self.step = Decision("step", proc=ref)  # the one step decision for this process
+        self.inbound = 0  # in-flight messages addressed to this client
 
 
 @dataclass
@@ -281,13 +300,18 @@ class Simulation:
             i: NodeMemory(i, scenario.local_items(i), scenario.placement.initials)
             for i in range(config.n_nodes)
         }
-        self.procs: dict[ProcessRef, _Proc] = {}
-        for c in range(config.n_clients):
-            self.procs[ProcessRef.client(c)] = _Proc(ProcessRef.client(c))
-        for n in range(config.n_nodes):
-            for p in range(config.procs_per_node):
-                ref = ProcessRef.node_proc(n, p)
-                self.procs[ref] = _Proc(ref)
+        # Built once per run: clients by index, each node's processes by
+        # index, and every process in the order choices are enumerated.
+        self._clients = [_Proc(ProcessRef.client(c)) for c in range(config.n_clients)]
+        self._node_procs = [
+            [_Proc(ProcessRef.node_proc(n, p)) for p in range(config.procs_per_node)]
+            for n in range(config.n_nodes)
+        ]
+        self.procs: dict[ProcessRef, _Proc] = {
+            p.ref: p for p in self._clients + [p for ps in self._node_procs for p in ps]
+        }
+        self.ordered_procs = sorted(self.procs.values(), key=lambda p: p.ref.sort_key())
+        self._crash_choices = [Decision("crash", node=n) for n in range(config.n_nodes)]
         for prog in scenario.transactions:
             ref = ProcessRef.client(prog.client)
             if ref not in self.procs:
@@ -348,10 +372,14 @@ class Simulation:
             self._advance(proc, ret)
             return
         if isinstance(eff, SendMsg):
+            mid = self.next_msg_id
             msg = Message(
-                self.next_msg_id, h.txn, proc.ref, eff.dst, eff.payload, self.tick, len(self.steps)
+                mid, h.txn, proc.ref, eff.dst, eff.payload, self.tick, len(self.steps),
+                Decision("deliver", msg=mid),
             )
             self.next_msg_id += 1
+            if eff.dst[0] == "client":
+                self._clients[eff.dst[1]].inbound += 1
             self._log(SEND, proc.ref, h.txn, msgId=msg.msg_id, payload=eff.payload)
             self.inflight[msg.msg_id] = msg
             self._advance(proc, msg.msg_id)
@@ -384,35 +412,30 @@ class Simulation:
     # -- choice enumeration -------------------------------------------------
 
     def _client_can_invoke(self, proc: _Proc) -> bool:
-        if proc.handler is not None or not proc.queue:
-            return False
-        # Next invocation waits until the previous transaction's stragglers
-        # are drained, so a mid-handler recv always matches the open handler.
-        for m in self.inflight.values():
-            if m.dst == ("client", proc.ref.idx):
-                return False
-        return True
+        # Called for an idle client. The next invocation waits until the
+        # previous transaction's stragglers are drained, so a mid-handler
+        # recv always matches the open handler.
+        return bool(proc.queue) and proc.inbound == 0
 
     def _steppable(self, proc: _Proc) -> bool:
-        if proc.ref.kind == "node" and proc.ref.node in self.crashed:
-            return False
         h = proc.handler
-        if h is not None:
-            return h.pending is not None or self._timer_expired(h)
-        return proc.ref.kind == "client" and self._client_can_invoke(proc)
+        if h is None:
+            # Only a client can step while idle. A crashed node's processes
+            # are always idle: the crash closes their handlers, and
+            # deliveries to a crashed node become drops.
+            return proc.ref.kind == "client" and self._client_can_invoke(proc)
+        return h.pending is not None or self._timer_expired(h)
 
     def _deliverable(self, msg: Message) -> bool:
         kind, target = msg.dst
         if kind == "node":
             if target in self.crashed:
                 return False
-            return any(
-                p.handler is None and not p.queue
-                for p in self.procs.values()
-                if p.ref.kind == "node" and p.ref.node == target
-            )
-        proc = self.procs[ProcessRef.client(target)]
-        h = proc.handler
+            for p in self._node_procs[target]:
+                if p.handler is None:
+                    return True
+            return False
+        h = self._clients[target].handler
         if h is None:
             return True  # drained by a degenerate recv+response handler
         return h.waiting is not None and h.txn == msg.txn
@@ -420,17 +443,12 @@ class Simulation:
     def enabled_choices(self) -> list[Decision]:
         """Exactly: next steps of non-idle processes, deliveries to live
         destinations, and crash decisions while the budget lasts."""
-        out: list[Decision] = []
-        for ref in sorted(self.procs, key=ProcessRef.sort_key):
-            if self._steppable(self.procs[ref]):
-                out.append(Decision("step", proc=ref))
-        for mid in sorted(self.inflight):
-            if self._deliverable(self.inflight[mid]):
-                out.append(Decision("deliver", msg=mid))
+        out = [p.step for p in self.ordered_procs if self._steppable(p)]
+        # Message ids only grow and entries are only ever deleted, so the
+        # dict's insertion order is msg-id order.
+        out += [m.deliver for m in self.inflight.values() if self._deliverable(m)]
         if self.crashes_used < self.scenario.crash_budget:
-            for n in range(self.config.n_nodes):
-                if n not in self.crashed:
-                    out.append(Decision("crash", node=n))
+            out += [d for d in self._crash_choices if d.node not in self.crashed]
         return out
 
     def step_is_invisible(self, ref: ProcessRef) -> bool:
@@ -449,12 +467,18 @@ class Simulation:
 
     def overdue_deliveries(self) -> list[Decision]:
         """Messages that the synchrony rule forces into every choice set."""
-        out = []
-        for mid in sorted(self.inflight):
-            msg = self.inflight[mid]
-            deadline = max(msg.sent_tick, self.config.gst) + self.config.delta
-            if self.tick >= deadline - 1 and self._deliverable(msg):
-                out.append(Decision("deliver", msg=mid))
+        # A message is overdue once tick >= max(sent_tick, gst) + delta - 1.
+        last = self.tick + 1 - self.config.delta  # the latest overdue sent tick
+        out: list[Decision] = []
+        if self.config.gst > last:
+            return out
+        # In msg-id order (as in enabled_choices) sent ticks never decrease,
+        # so the overdue messages come first.
+        for msg in self.inflight.values():
+            if msg.sent_tick > last:
+                break
+            if self._deliverable(msg):
+                out.append(msg.deliver)
         return out
 
     def has_armed_timer(self) -> bool:
@@ -548,7 +572,8 @@ class Simulation:
             proc.handler = _Handler(gen, msg.txn, coordinator=False)
             self._advance(proc, None)
         else:
-            proc = self.procs[ProcessRef.client(target)]
+            proc = self._clients[target]
+            proc.inbound -= 1
             self._log(RECV, proc.ref, msg.txn, msgId=msg.msg_id, payload=msg.payload)
             if proc.handler is None:
                 # Late straggler: drain with a degenerate handler.
@@ -562,13 +587,12 @@ class Simulation:
                 self._advance(proc, msg)
 
     def _pick_node_proc(self, node: int, pin: int | None) -> _Proc:
+        procs = self._node_procs[node]
         if pin is not None:
-            proc = self.procs.get(ProcessRef.node_proc(node, pin))
-            if proc is None or proc.handler is not None:
+            if not 0 <= pin < len(procs) or procs[pin].handler is not None:
                 raise ScheduleStuck(f"pinned process {node}/{pin} is not idle")
-            return proc
-        for p in range(self.config.procs_per_node):
-            proc = self.procs[ProcessRef.node_proc(node, p)]
+            return procs[pin]
+        for proc in procs:
             if proc.handler is None:
                 return proc
         raise ScheduleStuck(f"no idle process on node {node}")
@@ -583,8 +607,8 @@ class Simulation:
         self.crashes_used += 1
         self.crashed.add(node)
         self._log(CRASH, None, None, node=node)
-        for proc in self.procs.values():
-            if proc.ref.kind == "node" and proc.ref.node == node and proc.handler is not None:
+        for proc in self._node_procs[node]:
+            if proc.handler is not None:
                 if proc.handler.gen is not None:
                     proc.handler.gen.close()
                 proc.handler = None
@@ -637,8 +661,9 @@ class FairPolicy:
             return steps[0]
         delivers = [c for c in choices if c.t == "deliver"]
         if delivers:
-            ordered = sorted(delivers, key=lambda c: (sim.inflight[c.msg].sent_tick, c.msg))
-            return ordered[0]
+            # Choices list messages in msg-id order, and a later id never has
+            # an earlier sent tick, so the first is the oldest.
+            return delivers[0]
         if sim.has_armed_timer():
             return TICK
         return None

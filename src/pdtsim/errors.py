@@ -29,6 +29,10 @@ class Undecided(PdtsimError):
     """A depth/history query was made for a transaction that never decided."""
 
 
+class MalformedInput(PdtsimError):
+    """A scenario, schedule or trace file does not have the expected JSON shape."""
+
+
 class MalformedResponse(PdtsimError):
     """A coordinator response step is missing its read/write sets."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .errors import MalformedResponse, OrphanStep, PlacementError, Undecided
+from .errors import MalformedInput, MalformedResponse, OrphanStep, PlacementError, Undecided
 
 # Step kinds as they appear on the wire.
 INVOKE = "invoke"
@@ -42,7 +42,12 @@ class ProcessRef:
 
     @staticmethod
     def from_json(d: dict) -> "ProcessRef":
-        return ProcessRef(d["kind"], d["node"], d["idx"])
+        d = json_object(d, "process")
+        kind, node, idx = d.get("kind"), d.get("node"), d.get("idx")
+        node_ok = node is None if kind == "client" else type(node) is int
+        if kind not in ("client", "node") or not node_ok or type(idx) is not int:
+            raise MalformedInput(f"malformed process {d!r}")
+        return ProcessRef(kind, node, idx)
 
     @staticmethod
     def client(idx: int) -> "ProcessRef":
@@ -51,6 +56,29 @@ class ProcessRef:
     @staticmethod
     def node_proc(node: int, idx: int) -> "ProcessRef":
         return ProcessRef("node", node, idx)
+
+
+def json_object(d: Any, what: str) -> dict:
+    """``d`` itself if it is a JSON object; MalformedInput otherwise."""
+    if not isinstance(d, dict):
+        raise MalformedInput(f"{what} must be a JSON object, not {d!r}")
+    return d
+
+
+def json_int(d: dict, key: str, what: str, required: bool = False) -> int | None:
+    """``d[key]`` if it is an integer; None if it is absent or null and not
+    required; MalformedInput otherwise (KeyError if required and absent)."""
+    v = d[key] if required else d.get(key)
+    if (required or v is not None) and type(v) is not int:
+        raise MalformedInput(f"{what} field {key!r} must be an integer, not {v!r}")
+    return v
+
+
+def json_list(v: Any, what: str) -> list:
+    """``v`` itself if it is a JSON array; MalformedInput otherwise."""
+    if not isinstance(v, list):
+        raise MalformedInput(f"{what} must be a JSON array, not {v!r}")
+    return v
 
 
 @dataclass
@@ -116,7 +144,10 @@ class Step:
 
     @staticmethod
     def from_json(rec: dict) -> "Step":
-        fields = {k: v for k, v in rec.items() if k not in ("i", "kind", "proc", "txn")}
+        rec = json_object(rec, "trace step")
+        fields = rec.copy()
+        for key in ("i", "kind", "proc", "txn"):
+            fields.pop(key, None)
         proc = ProcessRef.from_json(rec["proc"]) if rec.get("proc") else None
         return Step(rec["i"], rec["kind"], proc, rec.get("txn"), fields)
 
@@ -162,11 +193,22 @@ class TransactionProgram:
 
     @staticmethod
     def from_json(d: dict) -> "TransactionProgram":
+        d = json_object(d, "transaction")
+        read_set = json_list(d["readSet"], "transaction field 'readSet'")
+        rule = [
+            json_object(w, "write rule")
+            for w in json_list(d["writeRule"], "transaction field 'writeRule'")
+        ]
+        if any(type(x) is not str for x in [d["txnId"], *read_set, *(w["target"] for w in rule)]):
+            raise MalformedInput(f"transaction ids and item names must be strings: {d!r}")
+        for w in rule:
+            if w["condition"] not in TransactionProgram.CONDITIONS:
+                raise MalformedInput(f"unknown write-rule condition {w['condition']!r}")
         return TransactionProgram(
             d["txnId"],
-            d["client"],
-            list(d["readSet"]),
-            [(w["target"], w["condition"], w["value"]) for w in d["writeRule"]],
+            json_int(d, "client", "transaction", required=True),
+            list(read_set),
+            [(w["target"], w["condition"], w["value"]) for w in rule],
         )
 
 
@@ -213,9 +255,18 @@ class DataPlacement:
 
     @staticmethod
     def from_json(d: dict) -> "DataPlacement":
-        initials = {e["id"]: e["initial"] for e in d["items"]}
-        groups = {i: tuple(nodes) for i, nodes in d["placement"].items()}
-        return DataPlacement(initials, groups, d["k"], d["f"])
+        items = [json_object(e, "item") for e in json_list(d["items"], "scenario field 'items'")]
+        groups = {
+            i: tuple(json_list(nodes, f"placement of item {i!r}"))
+            for i, nodes in json_object(d["placement"], "scenario field 'placement'").items()
+        }
+        if any(type(e["id"]) is not str for e in items) or any(
+            type(n) is not int for nodes in groups.values() for n in nodes
+        ):
+            raise MalformedInput("item ids must be strings and replica nodes integers")
+        initials = {e["id"]: e["initial"] for e in items}
+        k, f = (json_int(d, key, "scenario", required=True) for key in ("k", "f"))
+        return DataPlacement(initials, groups, k, f)
 
 
 @dataclass

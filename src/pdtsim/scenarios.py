@@ -21,7 +21,7 @@ from .engine import (
     inject_crash,
 )
 from .errors import PlacementError
-from .model import DataPlacement, ProcessRef, TransactionProgram
+from .model import DataPlacement, ProcessRef, TransactionProgram, json_list, json_object
 
 BOTTOM = None  # the uninitialized item value
 
@@ -71,8 +71,12 @@ class Scenario:
 
     @staticmethod
     def from_json(d: dict) -> "Scenario":
+        d = json_object(d, "scenario")
         placement = DataPlacement.from_json(d)
-        txns = [TransactionProgram.from_json(t) for t in d["transactions"]]
+        txns = [
+            TransactionProgram.from_json(t)
+            for t in json_list(d["transactions"], "scenario field 'transactions'")
+        ]
         if "sim" in d:
             config = SimConfig.from_json(d["sim"])
         else:
@@ -268,8 +272,8 @@ class _Driver:
     def run_nodes(self) -> None:
         while True:
             work = [
-                r for r in sorted(self.sim.procs, key=ProcessRef.sort_key)
-                if r.kind == "node" and self.steppable(r)
+                p.ref for p in self.sim.ordered_procs
+                if p.ref.kind == "node" and self.sim._steppable(p)
             ]
             if not work:
                 return
@@ -277,7 +281,8 @@ class _Driver:
                 self.step(r)
 
     def inflight_sorted(self):
-        return [self.sim.inflight[m] for m in sorted(self.sim.inflight)]
+        # The simulation keeps in-flight messages in msg-id order.
+        return list(self.sim.inflight.values())
 
 
 def build_counterexample_schedule(

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from .engine import RunResult, SimConfig
-from .model import ExecutionTrace, Step
+from .model import ExecutionTrace, Step, json_object
 from .protocols import AlgorithmVariant
 from .scenarios import Scenario
 
@@ -54,7 +54,7 @@ def read_trace(path: str | Path) -> ExecutionTrace:
     trace = ExecutionTrace(steps)
     meta_file = meta_path_for(path)
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+        meta = json_object(json.loads(meta_file.read_text(encoding="utf-8")), "trace sidecar")
         if meta.get("scenario"):
             trace.scenario = Scenario.from_json(meta["scenario"])
         if meta.get("algorithm"):

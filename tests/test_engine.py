@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from pdtsim import run
@@ -8,12 +10,14 @@ from pdtsim.engine import (
     Schedule,
     SimConfig,
     Simulation,
+    drive,
     inject_crash,
+    make_policy,
 )
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim.model import ProcessRef, txn_depth
-from pdtsim.protocols import AlgorithmVariant
-from pdtsim.scenarios import scenario_fids, scenario_solo, fids_schedule
+from pdtsim.protocols import VARIANTS, AlgorithmVariant
+from pdtsim.scenarios import BUILTIN_SCENARIOS, fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
 
 from conftest import Driver, make_scenario
@@ -171,3 +175,156 @@ def test_config_validation():
 def test_placement_maps_only_known_nodes(base):
     with pytest.raises(PlacementError):
         make_scenario({"X": None}, {"X": [5]}, 1, 0, [], n_nodes=2, clients=1)
+
+
+# --------------------------------------------------------------------------
+# Choice enumeration against the scanning reference, and the golden corpus
+# --------------------------------------------------------------------------
+
+
+def _admitted_pairs():
+    """Every builtin scenario with every variant that accepts its placement."""
+    for name in BUILTIN_SCENARIOS:
+        for tag in VARIANTS:
+            scen, variant = get_scenario(name), AlgorithmVariant(tag)
+            try:
+                Simulation(scen.config, variant, scen)
+            except PlacementError:
+                continue
+            yield scen, variant
+
+
+def _reference_steppable(sim, proc):
+    if proc.ref.kind == "node" and proc.ref.node in sim.crashed:
+        return False
+    h = proc.handler
+    if h is not None:
+        return h.pending is not None or sim._timer_expired(h)
+    if proc.ref.kind != "client" or not proc.queue:
+        return False
+    return not any(m.dst == ("client", proc.ref.idx) for m in sim.inflight.values())
+
+
+def _reference_deliverable(sim, msg):
+    kind, target = msg.dst
+    if kind == "node":
+        return target not in sim.crashed and any(
+            p.handler is None and not p.queue
+            for p in sim.procs.values()
+            if p.ref.kind == "node" and p.ref.node == target
+        )
+    h = sim.procs[ProcessRef.client(target)].handler
+    return h is None or (h.waiting is not None and h.txn == msg.txn)
+
+
+def _reference_choices(sim):
+    out = [
+        Decision("step", proc=ref)
+        for ref in sorted(sim.procs, key=ProcessRef.sort_key)
+        if _reference_steppable(sim, sim.procs[ref])
+    ]
+    out += [
+        Decision("deliver", msg=mid)
+        for mid in sorted(sim.inflight)
+        if _reference_deliverable(sim, sim.inflight[mid])
+    ]
+    if sim.crashes_used < sim.scenario.crash_budget:
+        out += [Decision("crash", node=n) for n in range(sim.config.n_nodes) if n not in sim.crashed]
+    return out
+
+
+def _reference_overdue(sim):
+    out = []
+    for mid in sorted(sim.inflight):
+        msg = sim.inflight[mid]
+        deadline = max(msg.sent_tick, sim.config.gst) + sim.config.delta
+        if sim.tick >= deadline - 1 and _reference_deliverable(sim, msg):
+            out.append(Decision("deliver", msg=mid))
+    return out
+
+
+class _CheckedPolicy:
+    """Wraps a policy; before every decision, compares the engine's indexed
+    enumeration with the scanning reference."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.checked = 0
+
+    def next_decision(self, sim):
+        assert sim.enabled_choices() == _reference_choices(sim)
+        assert sim.overdue_deliveries() == _reference_overdue(sim)
+        for c in range(sim.config.n_clients):
+            ref = ProcessRef.client(c)
+            fresh = sum(1 for m in sim.inflight.values() if m.dst == ("client", c))
+            assert sim.procs[ref].inbound == fresh
+        self.checked += 1
+        return self.policy.next_decision(sim)
+
+
+def _checked_run(scen, variant, schedule):
+    sim = Simulation(scen.config, variant, scen, granularity=schedule.granularity)
+    policy = _CheckedPolicy(make_policy(schedule))
+    drive(sim, policy)
+    assert policy.checked > 0
+    return sim.result()
+
+
+def _backlog_scenario():
+    # Two transactions per client, so a client's next invocation waits on
+    # the stragglers of its previous one.
+    return make_scenario(
+        {"X": None, "Y": None}, {"X": [0, 1, 2], "Y": [0, 1, 2]}, 3, 1,
+        [("a1", 0, ["X"], [("Y", "always", "a")]), ("a2", 0, ["Y"], []),
+         ("b1", 1, ["Y"], [("X", "always", "b")]), ("b2", 1, ["X"], [("Y", "always", "c")])],
+        procs=2,
+    )
+
+
+def test_enabled_choices_match_scanning_reference():
+    for scen, variant in _admitted_pairs():
+        for seed in range(2):
+            _checked_run(scen, variant, Schedule("random", seed=seed))
+    scen = _backlog_scenario()
+    for tag in VARIANTS:
+        variant = AlgorithmVariant(tag)
+        for seed in range(4):
+            _checked_run(scen, variant, Schedule("random", seed=seed))
+        fair = run(scen.config, variant, scen, Schedule("fair"))
+        half = len(fair.decisions) // 2
+        crashed = Schedule(
+            "scripted", list(fair.decisions[:half]) + [Decision("crash", node=2)],
+            tolerant=True, completion_seed=7,
+        )
+        res = _checked_run(scen, variant, crashed)
+        assert any(s.kind == "crash" for s in res.trace.steps)
+
+
+# SHA-256 over the canonical step JSON of the corpus below, taken before the
+# engine indexed its processes and messages; any engine change must keep it.
+GOLDEN_CORPUS_SHA256 = "b9e8eda16b301aaba5d1d4f1a254867e772cc7102d40b6b5950218099e74afc4"
+
+
+def test_golden_trace_corpus():
+    """Every builtin scenario x variant under the fair policy, random seeds
+    0-2 at both granularities, and the fair script with the last node
+    crashing halfway: 352 runs whose traces must not change by one byte."""
+    digest = hashlib.sha256()
+    runs = 0
+    for scen, variant in _admitted_pairs():
+        fair = run(scen.config, variant, scen, Schedule("fair"))
+        schedules = [
+            Schedule("random", seed=seed, granularity=granularity)
+            for seed in range(3)
+            for granularity in ("exact", "atomic")
+        ]
+        schedules.append(inject_crash(
+            Schedule("scripted", list(fair.decisions)),
+            scen.config.n_nodes - 1, len(fair.decisions) // 2,
+        ))
+        for res in [fair] + [run(scen.config, variant, scen, s) for s in schedules]:
+            runs += 1
+            for s in res.trace.steps:
+                digest.update(dumps_canonical(s.to_json()).encode() + b"\n")
+    assert runs == 352
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256

@@ -261,6 +261,67 @@ def test_cli_run_rejects_unknown_granularity(tmp_path, capsys, granularity):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+_SCENARIO = {
+    "items": [{"id": "X", "initial": None}], "placement": {"X": [0]}, "k": 1, "f": 0,
+    "transactions": [{"txnId": "t1", "client": 0, "readSet": ["X"], "writeRule": []}],
+}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("schedule", {"kind": "scripted", "decisions": [{"t": "crash", "node": "x"}]}),
+    ("schedule", {"kind": "scripted", "decisions": [{"t": "deliver", "msg": [1]}]}),
+    ("schedule", {"kind": "scripted", "decisions": [{"t": "step", "proc": [1]}]}),
+    ("schedule", {"kind": "scripted",
+                  "decisions": [{"t": "step", "proc": {"kind": "node", "node": [1], "idx": 0}}]}),
+    ("schedule", {"kind": "scripted", "decisions": [{"t": "jump"}]}),
+    ("schedule", {"kind": "scripted", "decisions": 5}),
+    ("schedule", {"kind": "random", "seed": "abc"}),
+    ("schedule", [1, 2]),
+    ("scenario", [1]),
+    ("scenario", {**_SCENARIO, "transactions": 3}),
+    ("scenario", {**_SCENARIO, "items": [1]}),
+    ("scenario", {**_SCENARIO, "placement": [1]}),
+    ("scenario", {**_SCENARIO, "k": "1"}),
+    ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "client": "0"}]}),
+    ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "writeRule": [
+        {"target": "X", "condition": "sometimes", "value": "v"}]}]}),
+    ("check", [1]),
+    ("sidecar", [1]),
+], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
+        "unknown-kind", "decisions-int", "seed-str", "schedule-list", "scenario-list",
+        "transactions-int", "item-int", "placement-list", "k-str", "client-str",
+        "condition-unknown", "trace-line-list", "sidecar-list"])
+def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document) + "\n")
+    out = tmp_path / "x.jsonl"
+    if command == "check":
+        argv = ["check", "--trace", str(path), "--property", "weak-ir"]
+    elif command == "sidecar":
+        assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        path.replace(str(out) + ".meta.json")
+        argv = ["check", "--trace", str(out), "--property", "weak-ir"]
+    elif command == "scenario":
+        argv = ["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
+                "--out", str(out)]
+    else:
+        argv = ["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", str(path),
+                "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_malformed_input_baseline_runs(tmp_path):
+    # The scenario the malformed cases above each break in one field.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_SCENARIO))
+    assert main(["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(tmp_path / "x.jsonl")]) == 0
+
+
 def test_cli_run_rejects_builtin_schedule_mismatch(tmp_path):
     # The rfids builder needs three single-read transactions; the fids
     # scenario cannot host it.
