@@ -514,6 +514,8 @@ def check_seamless_ft(
     search for a completion with identical coordinator invocation/response
     sequence and unchanged per-transaction depths. The search is a sound pass
     and a caveated fail: fair delivery first, then seeded completions."""
+    if s < 0:
+        raise ValueError(f"the seamless-ft crash budget (--s) must be at least 0, got {s}")
     if s == 0:
         return Verdict("seamless-ft", True, details={"s": 0, "reason": "vacuous"})
     if scenario.placement.f < s:

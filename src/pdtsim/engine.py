@@ -5,6 +5,11 @@ Handlers are resumable generators that yield one effect per handler step
 records trace steps, and resolves every nondeterministic choice through a
 Schedule. One scheduling decision advances logical time by one tick; delta and
 gst are measured in ticks.
+
+A handler is a deterministic function of its arguments and of the values sent
+into it. Simulation.clone relies on this: generators cannot be copied, so a
+clone re-creates each live handler from its factory call and re-sends the
+values the original received.
 """
 from __future__ import annotations
 
@@ -252,15 +257,35 @@ def inject_crash(schedule: Schedule, node: int, after_step_index: int) -> Schedu
 
 
 class _Handler:
-    __slots__ = ("gen", "txn", "coordinator", "pending", "waiting", "wait_since")
+    __slots__ = ("gen", "txn", "coordinator", "origin", "sent", "pending", "waiting", "wait_since")
 
-    def __init__(self, gen, txn: str, coordinator: bool):
+    def __init__(self, gen, txn: str, coordinator: bool, origin: Any = None):
         self.gen = gen
         self.txn = txn
         self.coordinator = coordinator
+        # What the generator was made from: the program (coordinator) or the
+        # message (node handler). With `sent`, every value sent into the
+        # generator so far, it re-creates the generator in a clone.
+        self.origin = origin
+        self.sent: list = []
         self.pending: Any = None  # effect or _Response awaiting a step decision
         self.waiting: WaitRecv | None = None
         self.wait_since: int = 0
+
+    def clone(self, env, node: int | None) -> "_Handler":
+        h = _Handler(None, self.txn, self.coordinator, self.origin)
+        # A finished generator (its _Response staged) is never resumed again,
+        # and a straggler handler has none, so only a live one is re-created.
+        if self.gen is not None and not isinstance(self.pending, _Response):
+            if self.coordinator:
+                h.gen = env.coordinator(self.origin)
+            else:
+                h.gen = env.node_handler(node, self.origin)
+            for value in self.sent:
+                h.gen.send(value)
+            h.sent = list(self.sent)
+        h.pending, h.waiting, h.wait_since = self.pending, self.waiting, self.wait_since
+        return h
 
 
 class _Proc:
@@ -273,6 +298,13 @@ class _Proc:
         self.step = Decision("step", proc=ref)  # the one step decision for this process
         self.inbound = 0  # in-flight messages addressed to this client
 
+    def clone(self, env) -> "_Proc":
+        p = _Proc.__new__(_Proc)
+        p.ref, p.step, p.inbound = self.ref, self.step, self.inbound
+        p.queue = list(self.queue)
+        p.handler = None if self.handler is None else self.handler.clone(env, self.ref.node)
+        return p
+
 
 @dataclass
 class RunResult:
@@ -283,7 +315,12 @@ class RunResult:
 
 
 class Simulation:
-    """One deterministic run. Instances share nothing; construct one per run."""
+    """One deterministic run; construct one per run, or clone() one.
+
+    A clone shares only what no run mutates: the config, variant, scenario
+    and ProtocolEnv, and the Steps, Messages, Decisions and effects already
+    created. Everything a run changes is copied.
+    """
 
     def __init__(self, config: SimConfig, variant, scenario, granularity: str = "exact"):
         from . import protocols  # local import: protocols yields engine effects
@@ -329,6 +366,23 @@ class Simulation:
         self.decisions_taken: list[Decision] = []
         self.decided_count = 0
 
+    def clone(self) -> "Simulation":
+        """A copy in this run's current state, from which it continues as
+        this run would. Advancing either leaves the other unchanged."""
+        sim = Simulation.__new__(Simulation)
+        sim.__dict__.update(self.__dict__)  # shared parts and int counters
+        sim.memories = {i: m.clone() for i, m in self.memories.items()}
+        procs = {ref: p.clone(self.env) for ref, p in self.procs.items()}
+        sim.procs = procs
+        sim._clients = [procs[p.ref] for p in self._clients]
+        sim._node_procs = [[procs[p.ref] for p in ps] for ps in self._node_procs]
+        sim.ordered_procs = [procs[p.ref] for p in self.ordered_procs]
+        sim.steps = list(self.steps)
+        sim.inflight = dict(self.inflight)
+        sim.crashed = set(self.crashed)
+        sim.decisions_taken = list(self.decisions_taken)
+        return sim
+
     # -- trace recording ---------------------------------------------------
 
     def _log(self, kind: str, proc: ProcessRef | None, txn: str | None, **fields) -> Step:
@@ -343,7 +397,11 @@ class Simulation:
         h = proc.handler
         assert h is not None
         try:
-            effect = h.gen.send(value) if h.gen is not None else None
+            if h.gen is None:
+                effect = None
+            else:
+                h.sent.append(value)
+                effect = h.gen.send(value)
         except StopIteration as stop:
             h.pending = _Response(stop.value)
             h.waiting = None
@@ -537,7 +595,7 @@ class Simulation:
             prog = proc.queue.pop(0)
             self._log(INVOKE, proc.ref, prog.txn_id)
             gen = self.env.coordinator(prog)
-            proc.handler = _Handler(gen, prog.txn_id, coordinator=True)
+            proc.handler = _Handler(gen, prog.txn_id, coordinator=True, origin=prog)
             self._advance(proc, None)
             return
         if h.pending is None and self._timer_expired(h):
@@ -569,7 +627,7 @@ class Simulation:
             proc = self._pick_node_proc(target, d.pin)
             self._log(RECV, proc.ref, msg.txn, msgId=msg.msg_id, payload=msg.payload)
             gen = self.env.node_handler(target, msg)
-            proc.handler = _Handler(gen, msg.txn, coordinator=False)
+            proc.handler = _Handler(gen, msg.txn, coordinator=False, origin=msg)
             self._advance(proc, None)
         else:
             proc = self._clients[target]

@@ -1,8 +1,8 @@
 """Bounded schedule exploration: exhaustive interleaving search and seeded
 random sampling, both replayable.
 
-Exhaustive mode is a depth-first search over scheduling frontiers with one
-full re-run per terminal trace, plus two sound reductions:
+Exhaustive mode is a depth-first search over scheduling frontiers, plus two
+sound reductions:
 
   * invisible steps (invocations, sends, notes, responses) never branch:
     they touch no shared memory and commute with every other choice;
@@ -13,10 +13,13 @@ full re-run per terminal trace, plus two sound reductions:
     atomically. Witness schedules carry the granularity, so they replay as
     explored.
 
-Each run replays the stack's prefix, descends greedily to a new terminal
-until every transaction has decided, and leaves the tail to the fair policy.
-Frontier orderings rotate with depth so the first descents interleave the
-transactions instead of serializing them.
+Each frontier with more than one choice keeps a snapshot (Simulation.clone)
+of the state before its first choice. A backtrack resumes from a clone of the
+deepest snapshot with an untried alternative, so no schedule re-executes its
+prefix from the initial state. From there the run descends greedily to a new
+terminal until every transaction has decided, and leaves the tail to the fair
+policy. Frontier orderings rotate with depth so the first descents interleave
+the transactions instead of serializing them.
 """
 from __future__ import annotations
 
@@ -104,14 +107,20 @@ def _ordered(choices: list[Decision], depth: int) -> list[Decision]:
     return ranked[rot:] + ranked[:rot]
 
 
+# A stack frame: the ordered choices at one frontier, the index taken, and,
+# while an alternative is untried, a snapshot of the state before the choice.
+_Frame = tuple[list[Decision], int, Simulation | None]
+
+
 class _Descent:
     """Policy for the unexplored part of an exhaustive run: take the first
-    ordered choice at each new frontier, pushing it on the stack, until every
-    transaction has decided or nothing is enabled. Then the fair policy
+    ordered choice at each new frontier, pushing a frame on the stack, until
+    every transaction has decided or nothing is enabled. A frontier with
+    alternatives is snapshotted before its first choice. Then the fair policy
     finishes the run: the remaining choices cannot change any response
     payload, so the tail is determinized."""
 
-    def __init__(self, stack: list[tuple[list[Decision], int]]):
+    def __init__(self, stack: list[_Frame]):
         self.stack = stack
         self.fair: FairPolicy | None = None
 
@@ -120,7 +129,7 @@ class _Descent:
             choices = [] if sim.all_decided() else _next_choices(sim)
             if choices:
                 ordered = _ordered(choices, len(self.stack))
-                self.stack.append((ordered, 0))
+                self.stack.append((ordered, 0, sim.clone() if len(ordered) > 1 else None))
                 return ordered[0]
             self.fair = FairPolicy()
         return self.fair.next_decision(sim)
@@ -134,14 +143,11 @@ def explore_exhaustive(
     on_terminal=None,
 ) -> ExplorationResult:
     collector = _Collector()
-    # Each stack frame is (ordered choices at that frontier, index taken).
-    stack: list[tuple[list[Decision], int]] = []
+    stack: list[_Frame] = []
     runs = 0
     complete = False
+    sim = Simulation(config, variant, scenario, granularity=GRANULARITY)
     while runs < bound:
-        sim = Simulation(config, variant, scenario, granularity=GRANULARITY)
-        for choices, idx in stack:
-            sim.apply(choices[idx])
         drive(sim, _Descent(stack))
         runs += 1
         schedule = Schedule(
@@ -150,15 +156,22 @@ def explore_exhaustive(
         if on_terminal is not None:
             on_terminal(schedule)
         collector.record(sim.result().trace, schedule)
-        # Backtrack to the deepest frontier with an untried alternative; the
-        # next iteration replays that prefix and descends again.
+        # Backtrack to the deepest frontier with an untried alternative and
+        # take it from that frontier's snapshot: a clone while alternatives
+        # remain after it, the snapshot itself for the last one.
         while stack and stack[-1][1] + 1 >= len(stack[-1][0]):
             stack.pop()
         if not stack:
             complete = True
             break
-        choices, idx = stack[-1]
-        stack[-1] = (choices, idx + 1)
+        choices, idx, snapshot = stack[-1]
+        idx += 1
+        if idx + 1 < len(choices):
+            sim = snapshot.clone()
+        else:
+            sim, snapshot = snapshot, None
+        stack[-1] = (choices, idx, snapshot)
+        sim.apply(choices[idx])
     return collector.result(runs, complete, "exhaustive")
 
 
@@ -183,12 +196,13 @@ def explore(
     max_schedules: int | None = None,
     seed: int = 0,
 ) -> ExplorationResult:
+    """Explore with the mode's default schedule count when max_schedules is None."""
+    if max_schedules is not None and max_schedules < 1:
+        raise ValueError(f"the schedule count (--max) must be at least 1, got {max_schedules}")
     if mode == "exhaustive":
-        return explore_exhaustive(
-            scenario.config, variant, scenario, bound=max_schedules or DEFAULT_EXHAUSTIVE_BOUND,
-        )
+        bound = DEFAULT_EXHAUSTIVE_BOUND if max_schedules is None else max_schedules
+        return explore_exhaustive(scenario.config, variant, scenario, bound=bound)
     if mode == "random":
-        return explore_random(
-            scenario.config, variant, scenario, n=max_schedules or DEFAULT_RANDOM_SCHEDULES, seed=seed,
-        )
+        n = DEFAULT_RANDOM_SCHEDULES if max_schedules is None else max_schedules
+        return explore_random(scenario.config, variant, scenario, n=n, seed=seed)
     raise ValueError(f"unknown exploration mode {mode!r}")

@@ -70,6 +70,12 @@ class NodeMemory:
     def snapshot(self) -> dict[str, Any]:
         return dict(self.cells)
 
+    def clone(self) -> "NodeMemory":
+        mem = NodeMemory.__new__(NodeMemory)
+        mem.node_id = self.node_id
+        mem.cells = dict(self.cells)
+        return mem
+
 
 def replay_nontrivial(trace: ExecutionTrace, node_id: int, items: list[str],
                       initials: dict[str, Any]) -> dict[str, Any]:

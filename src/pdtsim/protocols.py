@@ -9,6 +9,10 @@ One base algorithm plus four tweaks, each sacrificing one property:
   no-ddap      one long lock per node instead of per item; writers lock all nodes
 
 Handlers are generators over engine effects; every yield is one handler step.
+A handler is a deterministic function of its arguments and of the values sent
+into it: it reads no clock, randomness or state outside them, and mutates
+neither its arguments nor the values it receives. engine.Simulation.clone
+relies on this to re-create a live handler by re-sending those values.
 Per-item state is four base objects (val, seqNum, lockS, lockL); lockS guards
 value/seqNum installation, lockL is the concurrency-control lock. Reads use
 the lock-free check/recheck sequence so they stay trivial on shared memory.

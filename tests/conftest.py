@@ -19,13 +19,15 @@ def base():
 @pytest.fixture(scope="session")
 def matrix_report(tmp_path_factory):
     """One `pdtsim matrix --out report.md --json report.json` per session:
-    its exit code, the markdown table and the parsed JSON."""
+    its exit code, the markdown table, the JSON file's text and the parsed
+    JSON."""
     from pdtsim.cli import main
 
     out = tmp_path_factory.mktemp("matrix")
     md, js = out / "report.md", out / "report.json"
     code = main(["matrix", "--out", str(md), "--json", str(js)])
-    return {"exit": code, "markdown": md.read_text(), "json": json.loads(js.read_text())}
+    text = js.read_text()
+    return {"exit": code, "markdown": md.read_text(), "json_text": text, "json": json.loads(text)}
 
 
 def make_scenario(items, groups, k, f, txns, *, n_nodes=None, procs=2, clients=None,

@@ -6,6 +6,7 @@ import pytest
 
 from pdtsim import run
 from pdtsim.engine import (
+    TIMEOUT,
     Decision,
     Schedule,
     SimConfig,
@@ -15,6 +16,7 @@ from pdtsim.engine import (
     make_policy,
 )
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
+from pdtsim.explore import explore, explore_exhaustive
 from pdtsim.model import ProcessRef, txn_depth
 from pdtsim.protocols import VARIANTS, AlgorithmVariant
 from pdtsim.scenarios import BUILTIN_SCENARIOS, fids_schedule, get_scenario, scenario_fids, scenario_solo
@@ -328,3 +330,102 @@ def test_golden_trace_corpus():
                 digest.update(dumps_canonical(s.to_json()).encode() + b"\n")
     assert runs == 352
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+
+
+# --------------------------------------------------------------------------
+# Clones: a clone continues exactly as the original would
+# --------------------------------------------------------------------------
+
+
+def _memory(sim):
+    return {i: m.snapshot() for i, m in sim.memories.items()}
+
+
+def _assert_clones_continue(scen, variant, schedule, every):
+    """Replay the schedule's run decision by decision; at every `every`-th
+    decision, clone, drive the clone with the remaining decisions and compare
+    it with the uninterrupted run. Returns how many clones were taken with a
+    live handler resumed by TIMEOUT, and with a straggler handler."""
+    ref = run(scen.config, variant, scen, schedule)
+    want = _serialize(ref.trace)
+    sim = Simulation(scen.config, variant, scen, granularity=schedule.granularity)
+    timeouts = stragglers = 0
+    for i, d in enumerate(ref.decisions):
+        if i % every == 0:
+            handlers = [p.handler for p in sim.procs.values() if p.handler is not None]
+            timeouts += any(any(v is TIMEOUT for v in h.sent) for h in handlers)
+            stragglers += any(h.gen is None for h in handlers)
+            clone = sim.clone()
+            steps, memory, inflight = list(sim.steps), _memory(sim), dict(sim.inflight)
+            for rest in ref.decisions[i:]:
+                clone.apply(rest)
+            clone.finish()
+            assert _serialize(clone.result().trace) == want
+            assert _memory(clone) == ref.final_memory
+            # Advancing the clone left the original where it was.
+            assert sim.steps == steps and _memory(sim) == memory and sim.inflight == inflight
+        sim.apply(d)
+    sim.finish()
+    assert _serialize(sim.result().trace) == want
+    return timeouts, stragglers
+
+
+def test_clone_continues_identically():
+    for scen, variant in _admitted_pairs():
+        for granularity in ("exact", "atomic"):
+            _assert_clones_continue(scen, variant, Schedule("random", seed=3, granularity=granularity), 7)
+    # A crash mid-run: handlers closed, deliveries to the crashed node dropped.
+    scen, variant = _backlog_scenario(), AlgorithmVariant("base")
+    fair = run(scen.config, variant, scen, Schedule("fair"))
+    _assert_clones_continue(scen, variant, inject_crash(
+        Schedule("scripted", list(fair.decisions)), 2, len(fair.decisions) // 2), 3)
+    # no-seamless on rfids with node 0 down from the start: validation times
+    # out into the fallback, and late replies reach idle clients.
+    scen, variant = get_scenario("rfids"), AlgorithmVariant("no-seamless")
+    crashed = Schedule("scripted", [Decision("crash", node=0)], tolerant=True)
+    timeouts, stragglers = _assert_clones_continue(scen, variant, crashed, 3)
+    assert timeouts > 0 and stragglers > 0
+
+
+# --------------------------------------------------------------------------
+# Golden explorations: the explorer's output, and the order of its schedules
+# --------------------------------------------------------------------------
+
+EXPLORED_SCENARIOS = ("fids", "fids-replicated", "rfids")
+
+# SHA-256s taken before the explorer backtracked from snapshots, when every
+# schedule replayed its prefix from the initial state.
+GOLDEN_EXPLORATION_SHA256 = "c5a1c7c71d00c82ab772578e2ce486641d347c935862fbff457ac36012670b1f"
+GOLDEN_SCHEDULE_ORDER_SHA256 = "79bad20538f1d9d89adda1b5ad6bf4bde608a9c7cc590197d677c578b9aa6907"
+GOLDEN_MATRIX_JSON_SHA256 = "1128472beb4d787ef60fb2c0e25ea47c093339662a7a18b93ba578e5e13f43ce"
+GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
+
+
+def test_golden_exploration_corpus():
+    """Exhaustive exploration bounded at 300 schedules of every admitted
+    variant on fids, fids-replicated and rfids: the result JSON, and for
+    fids/base the sequence of terminal schedules, must not change by one
+    byte."""
+    digest = hashlib.sha256()
+    runs = 0
+    for scen, variant in _admitted_pairs():
+        if scen.name not in EXPLORED_SCENARIOS:
+            continue
+        res = explore(scen, variant, mode="exhaustive", max_schedules=300)
+        digest.update(dumps_canonical(res.to_json()).encode() + b"\n")
+        runs += 1
+    assert runs == 14
+    assert digest.hexdigest() == GOLDEN_EXPLORATION_SHA256
+
+    scen, order = get_scenario("fids"), hashlib.sha256()
+    explore_exhaustive(
+        scen.config, AlgorithmVariant("base"), scen, bound=300,
+        on_terminal=lambda sched: order.update(dumps_canonical(sched.to_json()).encode() + b"\n"),
+    )
+    assert order.hexdigest() == GOLDEN_SCHEDULE_ORDER_SHA256
+
+
+def test_golden_matrix_report(matrix_report):
+    """`pdtsim matrix`'s JSON and markdown files, byte for byte."""
+    assert hashlib.sha256(matrix_report["json_text"].encode()).hexdigest() == GOLDEN_MATRIX_JSON_SHA256
+    assert hashlib.sha256(matrix_report["markdown"].encode()).hexdigest() == GOLDEN_MATRIX_MARKDOWN_SHA256

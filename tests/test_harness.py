@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdtsim
 from pdtsim import run
 from pdtsim.checkers import check_read_delay, check_serializability
 from pdtsim.cli import main
@@ -239,6 +244,54 @@ def test_cli_explore(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["schedulesRun"] == 30
+
+
+@pytest.mark.parametrize("mode, count", [("exhaustive", 0), ("random", 0), ("random", -2)])
+def test_cli_explore_rejects_nonpositive_max(tmp_path, capsys, mode, count):
+    # --max 0 used to run the default 8,000 schedules, and a negative count
+    # in random mode reported "schedulesRun": -2 as a complete exploration.
+    out = tmp_path / "explore.json"
+    code = main(["explore", "--scenario", "fids", "--algorithm", "base", "--mode", mode,
+                 "--max", str(count), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        explore(scenario_fids(), AlgorithmVariant("base"), mode=mode, max_schedules=count)
+
+
+def test_cli_check_rejects_negative_seamless_budget(tmp_path, capsys):
+    # A negative crash budget used to fail the check (exit 1) with the
+    # witness "base run has 0 crashes, needs <= -2".
+    trace = tmp_path / "solo.jsonl"
+    assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["check", "--trace", str(trace), "--property", "seamless-ft", "--s", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert main(["check", "--trace", str(trace), "--property", "seamless-ft", "--s", "0"]) == 0
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m pdtsim` works from a source checkout, without installing.
+    src = Path(pdtsim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "solo.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdtsim", "run", "--scenario", "solo-r1", "--algorithm", "base",
+         "--schedule", "fair", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f"steps to {out}\n")
+    assert out.exists()
+    proc = subprocess.run([sys.executable, "-m", "pdtsim", "explore"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
 
 
 def test_cli_usage_errors(tmp_path):
