@@ -149,6 +149,15 @@ class Step:
         for key in ("i", "kind", "proc", "txn"):
             fields.pop(key, None)
         proc = ProcessRef.from_json(rec["proc"]) if rec.get("proc") else None
+        if rec["kind"] == RESPONSE:
+            for key in ("readSet", "writeSet"):
+                entries = fields.get(key)
+                if entries is not None and not (isinstance(entries, list) and all(
+                    isinstance(e, list) and len(e) == 2 and type(e[0]) is str for e in entries
+                )):
+                    raise MalformedInput(
+                        f"response field {key!r} must list [item, value] pairs, not {entries!r}"
+                    )
         return Step(rec["i"], rec["kind"], proc, rec.get("txn"), fields)
 
 

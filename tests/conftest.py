@@ -5,10 +5,26 @@ import json
 import pytest
 
 from pdtsim.engine import Decision, EmitNote, PrimOp, Schedule, SendMsg, SimConfig, Simulation
+from pdtsim.errors import PlacementError
 from pdtsim.memory import NodeMemory
 from pdtsim.model import DataPlacement, ProcessRef, TransactionProgram
-from pdtsim.protocols import AlgorithmVariant
-from pdtsim.scenarios import Scenario
+from pdtsim.protocols import VARIANTS, AlgorithmVariant
+from pdtsim.scenarios import BUILTIN_SCENARIOS, Scenario, get_scenario
+
+# The scenarios of the golden explorations.
+EXPLORED_SCENARIOS = ("fids", "fids-replicated", "rfids")
+
+
+def admitted_pairs():
+    """Every builtin scenario with every variant that accepts its placement."""
+    for name in BUILTIN_SCENARIOS:
+        for tag in VARIANTS:
+            scen, variant = get_scenario(name), AlgorithmVariant(tag)
+            try:
+                Simulation(scen.config, variant, scen)
+            except PlacementError:
+                continue
+            yield scen, variant
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import pytest
 import pdtsim
 from pdtsim import run
 from pdtsim.checkers import (
+    CHECKERS_BY_NAME,
     check_dap,
     check_ddap,
     check_fast_decision,
@@ -19,15 +22,17 @@ from pdtsim.checkers import (
     check_strong_ir,
     check_weak_ir,
     check_weak_progress,
-    serializable_polygraph,
     verify_trace_invariants,
 )
+from pdtsim.cli import main
 from pdtsim.engine import Schedule, Simulation, inject_crash
-from pdtsim.errors import ScheduleIncompatible, TooLarge
+from pdtsim.errors import ScheduleIncompatible
 from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
+    builtin_schedule,
     fids_schedule,
+    get_scenario,
     scenario_disjoint_writers,
     scenario_fids,
     scenario_rfids,
@@ -35,7 +40,8 @@ from pdtsim.scenarios import (
     rfids_schedule,
 )
 
-from conftest import make_scenario
+from conftest import admitted_pairs, make_scenario
+from test_oracle import legal_order, oracle_serializable
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +95,50 @@ def test_serializability_sequential_chain_passes():
     assert v.passed and v.witness["serialOrder"] == ["a", "b"]
 
 
-def test_serializability_cap():
-    ops = {f"t{i}": [("write", "X", f"v{i}")] for i in range(9)}
-    with pytest.raises(TooLarge):
-        check_serializability(CommittedHistory(ops, {"X": None}))
-    # The polygraph fast path handles it: all-blind-writes always serialize.
-    assert serializable_polygraph(CommittedHistory(ops, {"X": None}))
+def _write_history_trace(path: Path, history: dict) -> None:
+    """A trace of one committed response step per transaction, without a
+    sidecar: every item's initial value is null."""
+    lines = [
+        json.dumps({"i": i, "kind": "response", "proc": None, "txn": txn, "outcome": "commit",
+                    "readSet": [[item, v] for kind, item, v in ops if kind == "read"],
+                    "writeSet": [[item, v] for kind, item, v in ops if kind == "write"]})
+        for i, (txn, ops) in enumerate(history.items())
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _cli_serializability(tmp_path, capsys, history: dict) -> tuple[int, dict]:
+    path = tmp_path / "history.jsonl"
+    _write_history_trace(path, history)
+    code = main(["check", "--trace", str(path), "--property", "serializability"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_serializability_any_size_pass(tmp_path, capsys):
+    # Twelve transactions, listed backwards, each reading its predecessor's
+    # write of X: exactly one legal order, t0 first.
+    ops = {f"t{i}": [("read", "X", f"v{i - 1}" if i else None), ("write", "X", f"v{i}")]
+           for i in reversed(range(12))}
+    code, verdict = _cli_serializability(tmp_path, capsys, ops)
+    assert code == 0 and verdict["pass"]
+    order = verdict["witness"]["serialOrder"]
+    assert order == [f"t{i}" for i in range(12)]
+    assert legal_order(CommittedHistory(ops, {"X": None}), order)
+
+
+def test_cli_serializability_any_size_fail(tmp_path, capsys):
+    # Ten transactions, each reading the initial value of the item its
+    # successor writes: a 10-cycle, as in rfids.
+    ops = {f"t{i}": [("read", f"X{(i + 1) % 10}", None), ("write", f"X{i}", f"v{i}")]
+           for i in range(10)}
+    code, verdict = _cli_serializability(tmp_path, capsys, ops)
+    assert code == 1 and not verdict["pass"]
+    assert verdict["witness"]["cycle"] == [f"t{i}" for i in range(10)]
+    assert verdict["witness"]["edges"] == [
+        {"from": f"t{i}", "to": f"t{(i + 1) % 10}", "item": f"X{(i + 1) % 10}",
+         "reason": "read-initial"}
+        for i in range(10)
+    ]
 
 
 def test_polygraph_blind_write_subtlety():
@@ -109,13 +153,63 @@ def test_polygraph_blind_write_subtlety():
         },
         initials={"X": None, "Y": None},
     )
-    assert check_serializability(h).passed
-    assert serializable_polygraph(h)
+    assert check_serializability(h).witness == {"serialOrder": ["b", "a", "c"]}
     h.ops["b"] = [("read", "X", "cx"), ("read", "Y", None)]
     # Now b needs c before it (reads-from) but also no a-write of Y before it:
     # impossible, since c requires a.
     assert not check_serializability(h).passed
-    assert not serializable_polygraph(h)
+    assert not oracle_serializable(h)
+
+
+def test_serializability_duplicate_values_branch():
+    # a and b both write 1 to X, so c's read of 1 may come from either; d
+    # writes Y's initial value back, so a read of it may come from d too.
+    h = CommittedHistory(
+        ops={
+            "a": [("read", "Y", None), ("write", "X", 1)],
+            "b": [("write", "X", 1)],
+            "c": [("read", "X", 1), ("write", "Y", [2])],
+            "d": [("read", "Y", None), ("write", "Y", None)],
+        },
+        initials={"X": None, "Y": None},
+    )
+    v = check_serializability(h)
+    assert v.passed and legal_order(h, v.witness["serialOrder"])
+    h.ops["b"] = [("read", "Y", [2]), ("write", "X", 1)]
+    # Now b reads c's Y, so c must read a's 1: d, a, c, b is legal.
+    v = check_serializability(h)
+    assert v.passed and legal_order(h, v.witness["serialOrder"])
+    h.ops["a"] = [("read", "Y", [2]), ("write", "X", 1)]
+    # Both writers of 1 now follow c, which reads 1: no legal order.
+    assert not check_serializability(h).passed
+    assert not oracle_serializable(h)
+
+
+# SHA-256 over the label and `pdtsim check --property serializability` JSON of
+# each FAIL verdict below, taken while the decider was a permutation brute
+# force capped at 8 transactions.
+GOLDEN_SERIALIZABILITY_FAIL_SHA256 = "a6677f2a5d55523319ae5f276b9bbeb5469a28787052ae78253682659d1a5320"
+
+
+def test_golden_serializability_verdicts():
+    """The fids and rfids counterexample runs of base, and random exact
+    seeds 0-9 of every builtin scenario x admitted variant: 442 verdicts. The
+    same 4 runs FAIL, with byte-identical output, so every other run still
+    PASSes."""
+    base = AlgorithmVariant("base")
+    runs = [(f"{name} base builtin:{name}", get_scenario(name), base,
+             builtin_schedule(name, base, get_scenario(name))) for name in ("fids", "rfids")]
+    runs += [(f"{scen.name} {variant.tag} random:{seed}", scen, variant, Schedule("random", seed=seed))
+             for scen, variant in admitted_pairs() for seed in range(10)]
+    digest, fails = hashlib.sha256(), 0
+    for label, scen, variant, sched in runs:
+        verdict = CHECKERS_BY_NAME["serializability"](run(scen.config, variant, scen, sched).trace)
+        if not verdict.passed:
+            text = json.dumps(verdict.to_json(), sort_keys=True, indent=2, ensure_ascii=False)
+            digest.update(f"{label}\n{text}\n".encode())
+            fails += 1
+    assert (len(runs), fails) == (442, 4)
+    assert digest.hexdigest() == GOLDEN_SERIALIZABILITY_FAIL_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim.explore import explore, explore_exhaustive
 from pdtsim.model import ProcessRef, txn_depth
 from pdtsim.protocols import VARIANTS, AlgorithmVariant
-from pdtsim.scenarios import BUILTIN_SCENARIOS, fids_schedule, get_scenario, scenario_fids, scenario_solo
+from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
 
-from conftest import Driver, make_scenario
+from conftest import EXPLORED_SCENARIOS, Driver, admitted_pairs, make_scenario
 
 
 def _serialize(trace):
@@ -184,18 +184,6 @@ def test_placement_maps_only_known_nodes(base):
 # --------------------------------------------------------------------------
 
 
-def _admitted_pairs():
-    """Every builtin scenario with every variant that accepts its placement."""
-    for name in BUILTIN_SCENARIOS:
-        for tag in VARIANTS:
-            scen, variant = get_scenario(name), AlgorithmVariant(tag)
-            try:
-                Simulation(scen.config, variant, scen)
-            except PlacementError:
-                continue
-            yield scen, variant
-
-
 def _reference_steppable(sim, proc):
     if proc.ref.kind == "node" and proc.ref.node in sim.crashed:
         return False
@@ -284,7 +272,7 @@ def _backlog_scenario():
 
 
 def test_enabled_choices_match_scanning_reference():
-    for scen, variant in _admitted_pairs():
+    for scen, variant in admitted_pairs():
         for seed in range(2):
             _checked_run(scen, variant, Schedule("random", seed=seed))
     scen = _backlog_scenario()
@@ -313,7 +301,7 @@ def test_golden_trace_corpus():
     crashing halfway: 352 runs whose traces must not change by one byte."""
     digest = hashlib.sha256()
     runs = 0
-    for scen, variant in _admitted_pairs():
+    for scen, variant in admitted_pairs():
         fair = run(scen.config, variant, scen, Schedule("fair"))
         schedules = [
             Schedule("random", seed=seed, granularity=granularity)
@@ -371,7 +359,7 @@ def _assert_clones_continue(scen, variant, schedule, every):
 
 
 def test_clone_continues_identically():
-    for scen, variant in _admitted_pairs():
+    for scen, variant in admitted_pairs():
         for granularity in ("exact", "atomic"):
             _assert_clones_continue(scen, variant, Schedule("random", seed=3, granularity=granularity), 7)
     # A crash mid-run: handlers closed, deliveries to the crashed node dropped.
@@ -391,8 +379,6 @@ def test_clone_continues_identically():
 # Golden explorations: the explorer's output, and the order of its schedules
 # --------------------------------------------------------------------------
 
-EXPLORED_SCENARIOS = ("fids", "fids-replicated", "rfids")
-
 # SHA-256s taken before the explorer backtracked from snapshots, when every
 # schedule replayed its prefix from the initial state.
 GOLDEN_EXPLORATION_SHA256 = "c5a1c7c71d00c82ab772578e2ce486641d347c935862fbff457ac36012670b1f"
@@ -408,7 +394,7 @@ def test_golden_exploration_corpus():
     byte."""
     digest = hashlib.sha256()
     runs = 0
-    for scen, variant in _admitted_pairs():
+    for scen, variant in admitted_pairs():
         if scen.name not in EXPLORED_SCENARIOS:
             continue
         res = explore(scen, variant, mode="exhaustive", max_schedules=300)

@@ -320,6 +320,11 @@ _SCENARIO = {
 }
 
 
+# A committed response step, as one trace line.
+_RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "commit",
+             "readSet": [["X1", None]], "writeSet": [["X2", "v"]]}
+
+
 @pytest.mark.parametrize("command, document", [
     ("schedule", {"kind": "scripted", "decisions": [{"t": "crash", "node": "x"}]}),
     ("schedule", {"kind": "scripted", "decisions": [{"t": "deliver", "msg": [1]}]}),
@@ -339,17 +344,22 @@ _SCENARIO = {
     ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "writeRule": [
         {"target": "X", "condition": "sometimes", "value": "v"}]}]}),
     ("check", [1]),
+    ("check", {**_RESPONSE, "readSet": [[["X1"], None]]}),
+    ("check", {**_RESPONSE, "readSet": [["X1"]]}),
+    ("check", {**_RESPONSE, "writeSet": ["X1"]}),
+    ("check", {**_RESPONSE, "writeSet": 5}),
     ("sidecar", [1]),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "client-str",
-        "condition-unknown", "trace-line-list", "sidecar-list"])
+        "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
+        "write-entry-str", "write-set-int", "sidecar-list"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document) + "\n")
     out = tmp_path / "x.jsonl"
     if command == "check":
-        argv = ["check", "--trace", str(path), "--property", "weak-ir"]
+        argv = ["check", "--trace", str(path), "--property", "serializability"]
     elif command == "sidecar":
         assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
                      "--out", str(out)]) == 0
