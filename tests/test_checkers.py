@@ -26,7 +26,7 @@ from pdtsim.checkers import (
 )
 from pdtsim.cli import main
 from pdtsim.engine import Schedule, Simulation, inject_crash
-from pdtsim.errors import ScheduleIncompatible
+from pdtsim.errors import PlacementError, ScheduleIncompatible
 from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
@@ -39,6 +39,7 @@ from pdtsim.scenarios import (
     scenario_solo,
     rfids_schedule,
 )
+from pdtsim.traceio import dumps_canonical
 
 from conftest import admitted_pairs, make_scenario
 from test_oracle import legal_order, oracle_serializable
@@ -402,6 +403,54 @@ def test_seamless_ft_witness_replays(base):
 
     assert txn_depth(res.trace, "t1") == v.witness["injectedDepths"]["t1"]
     assert v.witness["injectedDepths"]["t1"] != v.witness["baseDepths"]["t1"]
+
+
+# SHA-256s taken while the counterexample builder ran its own apply loop and
+# the seamless-ft sweep replayed every crash injection from the initial state.
+GOLDEN_COUNTEREXAMPLE_SHA256 = "79d171cfe2de21e87f6d9623a3b43afcb333a5921315288ccea87e931c9a2f1c"
+GOLDEN_SEAMLESS_FT_SHA256 = "7a03491bda569bf877492301a37441bf36dc1a2786082d9a822ded9bfa4b1247"
+
+
+def test_golden_counterexample_schedules():
+    """Every builtin fids/rfids schedule the builder accepts, on every
+    builtin scenario x variant: the schedule JSON and its run's trace."""
+    digest, built = hashlib.sha256(), 0
+    for scen, variant in admitted_pairs():
+        for name in ("fids", "rfids"):
+            try:
+                sched = builtin_schedule(name, variant, scen)
+            except (PlacementError, KeyError):
+                continue
+            trace = run(scen.config, variant, scen, sched).trace
+            digest.update(f"{scen.name} {variant.tag} builtin:{name}\n".encode())
+            digest.update(dumps_canonical(sched.to_json()).encode() + b"\n")
+            for s in trace.steps:
+                digest.update(dumps_canonical(s.to_json()).encode() + b"\n")
+            built += 1
+    assert built == 19
+    assert digest.hexdigest() == GOLDEN_COUNTEREXAMPLE_SHA256
+
+
+def test_golden_seamless_ft_sweeps():
+    """The seamless-ft verdict of every admitted variant on solo-r0 (fair)
+    and solo-r1 (random:1), and with s=2 on a k=5 f=2 solo run whose base
+    schedule crashes node 4 first, so injections start after that crash."""
+    runs = [(scen, variant, sched, 1)
+            for scen, variant in admitted_pairs()
+            for name, sched in (("solo-r0", Schedule("fair")), ("solo-r1", Schedule("random", seed=1)))
+            if scen.name == name]
+    wide = make_scenario({"X1": None, "Y": None}, {"X1": range(5), "Y": range(5)}, 5, 2,
+                         [("t1", 0, ["X1"], [("Y", "allReadsInitial", "w")])], procs=1,
+                         name="solo-k5")
+    crashed = inject_crash(Schedule("scripted", []), 4, 0)
+    runs += [(wide, AlgorithmVariant(tag), crashed, 2) for tag in ("base", "no-fast")]
+    digest = hashlib.sha256()
+    for scen, variant, sched, s in runs:
+        verdict = check_seamless_ft(scen.config, variant, scen, sched, s=s)
+        text = json.dumps(verdict.to_json(), sort_keys=True)
+        digest.update(f"{scen.name} {variant.tag} s={s}\n{text}\n".encode())
+    assert len(runs) == 12
+    assert digest.hexdigest() == GOLDEN_SEAMLESS_FT_SHA256
 
 
 # ---------------------------------------------------------------------------
