@@ -24,6 +24,7 @@ from .model import (
     VALUE_LEARNED,
     CommittedHistory,
     ExecutionTrace,
+    Step,
     TransactionProgram,
     derive_history,
     happened_before,
@@ -528,40 +529,45 @@ def check_seamless_ft(
         if d.t == "crash":
             first_pos = i + 1
 
+    # Walk the base run once; each injection branches from a clone of it at
+    # its position, and each completion attempt from a clone of that branch.
+    sim = engine.Simulation(config, variant, scenario, granularity=schedule.granularity)
+    for d in base.decisions[:first_pos]:
+        sim.apply(d)
     injections = 0
     for pos in range(first_pos, len(base.decisions) + 1):
         for node in range(config.n_nodes):
             if node in crashed_nodes:
                 continue
             injections += 1
-            prefix = list(base.decisions[:pos]) + [engine.Decision("crash", node=node)]
+            crash = engine.Decision("crash", node=node)
+            injected = sim.clone()
+            injected.apply(crash)
             for attempt in range(completions + 1):
-                sched = Schedule(
-                    "scripted", prefix,
-                    granularity=schedule.granularity,
-                    complete=True,
-                    completion_seed=None if attempt == 0 else attempt,
-                )
-                res = engine.run(config, variant, scenario, sched)
-                if (
-                    _coordinator_signature(res.trace) == base_sig
-                    and _decided_depths(res.trace) == base_depths
-                ):
+                trial = injected.clone()
+                policy = engine.RandomPolicy(attempt) if attempt else engine.FairPolicy()
+                engine.drive(trial, policy)
+                trace = trial.result().trace
+                if _coordinator_signature(trace) == base_sig and _decided_depths(trace) == base_depths:
                     break
                 if attempt == 0:
-                    first_sched, first_res = sched, res  # the fair completion is the witness
+                    first_trace = trace  # the fair completion is the witness
             else:
+                prefix = list(base.decisions[:pos]) + [crash]
+                witness = Schedule("scripted", prefix, granularity=schedule.granularity)
                 return Verdict(
                     "seamless-ft", False,
                     witness={
                         "prefix": pos, "node": node,
-                        "schedule": first_sched.to_json(),
+                        "schedule": witness.to_json(),
                         "baseDepths": base_depths,
-                        "injectedDepths": _decided_depths(first_res.trace),
-                        "signatureChanged": _coordinator_signature(first_res.trace) != base_sig,
+                        "injectedDepths": _decided_depths(first_trace),
+                        "signatureChanged": _coordinator_signature(first_trace) != base_sig,
                         "caveat": "no seamless completion found within budget",
                     },
                 )
+        if pos < len(base.decisions):
+            sim.apply(base.decisions[pos])
     return Verdict("seamless-ft", True, details={"s": s, "injectionsTried": injections})
 
 

@@ -213,13 +213,16 @@ class Schedule:
     def from_json(d: dict) -> "Schedule":
         d = json_object(d, "schedule")
         decisions = json_list(d.get("decisions", []), "schedule field 'decisions'")
+        tolerant, complete = d.get("tolerant", False), d.get("complete", True)
+        if type(tolerant) is not bool or type(complete) is not bool:
+            raise MalformedInput(f"schedule fields 'tolerant' and 'complete' must be booleans: {d!r}")
         return Schedule(
             d["kind"],
             [Decision.from_json(x) for x in decisions],
             json_int(d, "seed", "schedule"),
             d.get("granularity", "exact"),
-            d.get("tolerant", False),
-            d.get("complete", True),
+            tolerant,
+            complete,
             json_int(d, "completionSeed", "schedule"),
         )
 

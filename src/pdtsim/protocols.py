@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from .engine import TIMEOUT, EmitNote, PrimOp, SendMsg, SimConfig, WaitRecv
-from .errors import PlacementError
+from .errors import MalformedInput, PlacementError
 from .memory import GLOBAL_LOCK
-from .model import TransactionProgram, VALUE_LEARNED
+from .model import VALUE_LEARNED, TransactionProgram, json_int, json_object
 
 BASE = "base"
 NO_FAST = "no-fast"
@@ -52,7 +52,10 @@ class AlgorithmVariant:
 
     @staticmethod
     def from_json(d: dict) -> "AlgorithmVariant":
-        return AlgorithmVariant(d["tag"], d.get("timeoutTicks"))
+        d = json_object(d, "algorithm")
+        if type(d.get("tag")) is not str:
+            raise MalformedInput(f"algorithm field 'tag' must be a string, not {d.get('tag')!r}")
+        return AlgorithmVariant(d["tag"], json_int(d, "timeoutTicks", "algorithm"))
 
 
 def pmsg(kind: str, body: dict) -> dict:

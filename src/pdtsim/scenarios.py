@@ -1,15 +1,15 @@
 """Scenario library: placements, transaction programs, and the builtin
 adversarial schedules that drive the two counterexample executions.
 
-The builtin schedules are not hand-written decision lists; a deterministic
-builder drives a simulation through the counterexample phases (run every
-transaction to the brink of learning its read value, then order validation
-deliveries per node) and the recorded decisions become a replayable script.
+The builtin schedules are not hand-written decision lists; a generator yields
+the decisions of the counterexample phases (run every transaction to the
+brink of learning its read value, then order validation deliveries per node)
+to `engine.drive`, and the recorded decisions become a replayable script.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .engine import (
     ASYNC_GST,
@@ -18,6 +18,7 @@ from .engine import (
     Schedule,
     SimConfig,
     Simulation,
+    drive,
     inject_crash,
 )
 from .errors import PlacementError
@@ -242,47 +243,14 @@ def get_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-class _Driver:
-    """Applies decisions to a simulation while recording them."""
+class _Yielded:
+    """A drive policy that takes each decision from a generator."""
 
-    def __init__(self, sim: Simulation, pin: dict[str, int], blocked: set[tuple[str, int]]):
-        self.sim = sim
-        self.pin = pin
-        self.blocked = blocked
+    def __init__(self, decisions: Iterator[Decision]):
+        self.decisions = decisions
 
-    def is_blocked(self, msg) -> bool:
-        node = msg.dst[1] if msg.dst[0] == "node" else msg.src.node
-        return (msg.txn, node) in self.blocked
-
-    def step(self, ref: ProcessRef) -> None:
-        self.sim.apply(Decision("step", proc=ref))
-
-    def deliver(self, msg) -> None:
-        pin = self.pin.get(msg.txn) if msg.dst[0] == "node" else None
-        self.sim.apply(Decision("deliver", msg=msg.msg_id, pin=pin))
-
-    def steppable(self, ref: ProcessRef) -> bool:
-        return self.sim._steppable(self.sim.procs[ref])
-
-    def run_client(self, client: int) -> None:
-        ref = ProcessRef.client(client)
-        while self.steppable(ref):
-            self.step(ref)
-
-    def run_nodes(self) -> None:
-        while True:
-            work = [
-                p.ref for p in self.sim.ordered_procs
-                if p.ref.kind == "node" and self.sim._steppable(p)
-            ]
-            if not work:
-                return
-            for r in work:
-                self.step(r)
-
-    def inflight_sorted(self):
-        # The simulation keeps in-flight messages in msg-id order.
-        return list(self.sim.inflight.values())
+    def next_decision(self, sim: Simulation) -> Decision | None:
+        return next(self.decisions, None)
 
 
 def build_counterexample_schedule(
@@ -302,87 +270,87 @@ def build_counterexample_schedule(
     with (txn, node) pairs in `blocked` never delivered at all.
     """
     sim = Simulation(config, variant, scenario, granularity="exact")
-    drv = _Driver(sim, {t: i for i, t in enumerate(txn_order)}, set(blocked))
-    quorum = scenario.placement.k - scenario.placement.f
-    client_of = {t.txn_id: t.client for t in scenario.transactions}
     for t in scenario.transactions:
         if len(t.read_set) != 1:
             raise PlacementError("counterexample builder expects single-read transactions")
+    client = {t.txn_id: sim.procs[ProcessRef.client(t.client)] for t in scenario.transactions}
+    if missing := [t for t in txn_order if t not in client]:
+        raise PlacementError(f"counterexample schedule needs transactions {', '.join(missing)}, "
+                             f"which scenario {scenario.name!r} lacks")
+    pin = {t: i for i, t in enumerate(txn_order)}
+    quorum = scenario.placement.k - scenario.placement.f
+    blocked = set(blocked)
+    released = {t: 0 for t in txn_order}  # read replies delivered in phase 1
 
-    # Phase 1: invoke everyone, serve reads, withhold the deciding replies.
-    for t in txn_order:
-        drv.run_client(client_of[t])
-    replies_released = {t: 0 for t in txn_order}
-    progress = True
-    while progress:
-        progress = False
-        drv.run_nodes()
-        for msg in drv.inflight_sorted():
-            if drv.is_blocked(msg):
-                continue
-            kind = msg.payload["kind"]
-            if msg.dst[0] == "node" and kind == "read":
-                drv.deliver(msg)
-                drv.run_nodes()
-                progress = True
-                break
-            if (
-                msg.dst[0] == "client"
-                and kind == "readReply"
-                and replies_released[msg.txn] < quorum - 1
-            ):
-                drv.deliver(msg)
-                replies_released[msg.txn] += 1
-                progress = True
-                break
+    def unblocked(msg) -> bool:
+        return (msg.txn, msg.dst[1] if msg.dst[0] == "node" else msg.src.node) not in blocked
 
-    # Phase 2: let each transaction learn its value and send its validations.
-    for t in txn_order:
-        for msg in drv.inflight_sorted():
-            if msg.txn == t and msg.dst[0] == "client" and not drv.is_blocked(msg):
-                if msg.payload["kind"] == "readReply":
-                    drv.deliver(msg)
-                    break
-        drv.run_client(client_of[t])
+    def deliver(msg) -> Decision:
+        node_pin = pin.get(msg.txn) if msg.dst[0] == "node" else None
+        return Decision("deliver", msg=msg.msg_id, pin=node_pin)
 
-    # Drain: nodes consume messages in the per-node priority order, each
-    # handler running to completion; clients receive in send order.
-    while True:
-        drv.run_nodes()
-        stepped = False
+    def run_client(t: str) -> Iterator[Decision]:
+        while sim._steppable(client[t]):
+            yield client[t].step
+
+    def run_nodes() -> Iterator[Decision]:
+        # Every node process with work steps once per round, until none has.
+        nodes = [p for p in sim.ordered_procs if p.ref.kind == "node"]
+        while work := [p.step for p in nodes if sim._steppable(p)]:
+            yield from work
+
+    def serves_read(msg) -> bool:
+        # Phase 1 delivers read requests, and read replies short of a quorum.
+        if msg.dst[0] == "node":
+            return msg.payload["kind"] == "read"
+        return msg.payload["kind"] == "readReply" and released[msg.txn] < quorum - 1
+
+    def drain_key(msg) -> tuple:
+        # Node-bound messages first, per node in its validation priority;
+        # then client-bound ones in txn order.
+        if msg.dst[0] == "node":
+            order = validate_order.get(msg.dst[1], txn_order)
+            rank = order.index(msg.txn) if msg.txn in order else len(txn_order)
+            return (0, msg.dst[1], rank, msg.msg_id)
+        return (1, pin.get(msg.txn, len(txn_order)), msg.msg_id)
+
+    def phases() -> Iterator[Decision]:
+        # Phase 1: invoke everyone, serve reads, withhold the deciding replies.
         for t in txn_order:
-            ref = ProcessRef.client(client_of[t])
-            while drv.steppable(ref):
-                drv.step(ref)
-                stepped = True
-        if stepped:
-            continue
-        candidates = [m for m in drv.inflight_sorted() if not drv.is_blocked(m)]
-        node_msgs = [m for m in candidates if m.dst[0] == "node"]
-        if node_msgs:
-            best = min(
-                node_msgs,
-                key=lambda m: (
-                    m.dst[1],
-                    validate_order.get(m.dst[1], txn_order).index(m.txn)
-                    if m.txn in validate_order.get(m.dst[1], txn_order)
-                    else len(txn_order),
-                    m.msg_id,
-                ),
-            )
-            drv.deliver(best)
-            continue
-        client_msgs = [m for m in candidates if m.dst[0] == "client"]
-        if client_msgs:
-            best = min(
-                client_msgs,
-                key=lambda m: (drv.pin.get(m.txn, len(txn_order)), m.msg_id),
-            )
-            drv.deliver(best)
-            continue
-        break
+            yield from run_client(t)
+        while True:
+            yield from run_nodes()
+            msg = next((m for m in sim.inflight.values() if unblocked(m) and serves_read(m)), None)
+            if msg is None:
+                break
+            yield deliver(msg)
+            if msg.dst[0] == "client":
+                released[msg.txn] += 1
 
-    sim.finish()
+        # Phase 2: let each transaction learn its value and send its validations.
+        for t in txn_order:
+            for msg in list(sim.inflight.values()):
+                if (msg.txn == t and msg.dst[0] == "client" and unblocked(msg)
+                        and msg.payload["kind"] == "readReply"):
+                    yield deliver(msg)
+                    break
+            yield from run_client(t)
+
+        # Drain: nodes consume messages in the per-node priority order, each
+        # handler running to completion; clients receive in send order.
+        while True:
+            yield from run_nodes()
+            taken = len(sim.decisions_taken)
+            for t in txn_order:
+                yield from run_client(t)
+            if len(sim.decisions_taken) == taken:
+                pending = [m for m in sim.inflight.values() if unblocked(m)]
+                msg = min(pending, key=drain_key, default=None)
+                if msg is None:
+                    return
+                yield deliver(msg)
+
+    drive(sim, _Yielded(phases()))
     schedule = Schedule("scripted", list(sim.decisions_taken), granularity="exact")
     return schedule, sim.result(schedule.to_json())
 

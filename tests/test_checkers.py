@@ -27,7 +27,7 @@ from pdtsim.checkers import (
 from pdtsim.cli import main
 from pdtsim.engine import Schedule, Simulation, inject_crash
 from pdtsim.errors import PlacementError, ScheduleIncompatible
-from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step
+from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step, txn_depth
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
     builtin_schedule,
@@ -405,6 +405,28 @@ def test_seamless_ft_witness_replays(base):
     assert v.witness["injectedDepths"]["t1"] != v.witness["baseDepths"]["t1"]
 
 
+def test_seamless_ft_witness_after_a_prefix_replays():
+    # no-ddap's writers contend on the node lock. In this run w1 commits,
+    # then w2 aborts; a crash of node 1 after 9 decisions makes w2 respond
+    # first under the fair completion and two seeded ones. Crashes earlier in
+    # the run are seamless.
+    scen, variant = scenario_disjoint_writers(), AlgorithmVariant("no-ddap")
+    base_run = run(scen.config, variant, scen, Schedule("random", seed=1))
+    v = check_seamless_ft(scen.config, variant, scen, Schedule("random", seed=1), s=1, completions=2)
+    assert not v.passed and (v.witness["prefix"], v.witness["node"]) == (9, 1)
+    assert v.witness["signatureChanged"]
+    sched = Schedule.from_json(v.witness["schedule"])
+    assert sched.decisions[:9] == base_run.decisions[:9]
+    res = run(scen.config, variant, scen, sched)
+
+    def responses(trace):
+        return [(s.txn, s.outcome) for s in trace.steps if s.kind == "response" and s.outcome]
+
+    assert responses(base_run.trace) == [("w1", "commit"), ("w2", "abort")]
+    assert responses(res.trace) == [("w2", "abort"), ("w1", "commit")]
+    assert {t: txn_depth(res.trace, t) for t in ("w1", "w2")} == v.witness["injectedDepths"]
+
+
 # SHA-256s taken while the counterexample builder ran its own apply loop and
 # the seamless-ft sweep replayed every crash injection from the initial state.
 GOLDEN_COUNTEREXAMPLE_SHA256 = "79d171cfe2de21e87f6d9623a3b43afcb333a5921315288ccea87e931c9a2f1c"
@@ -419,7 +441,7 @@ def test_golden_counterexample_schedules():
         for name in ("fids", "rfids"):
             try:
                 sched = builtin_schedule(name, variant, scen)
-            except (PlacementError, KeyError):
+            except PlacementError:
                 continue
             trace = run(scen.config, variant, scen, sched).trace
             digest.update(f"{scen.name} {variant.tag} builtin:{name}\n".encode())

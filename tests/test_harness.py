@@ -335,6 +335,8 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("schedule", {"kind": "scripted", "decisions": 5}),
     ("schedule", {"kind": "random", "seed": "abc"}),
     ("schedule", [1, 2]),
+    ("schedule", {"kind": "scripted", "decisions": [{"t": "crash", "node": 0}], "complete": "no"}),
+    ("schedule", {"kind": "scripted", "decisions": [], "tolerant": "no"}),
     ("scenario", [1]),
     ("scenario", {**_SCENARIO, "transactions": 3}),
     ("scenario", {**_SCENARIO, "items": [1]}),
@@ -349,11 +351,15 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("check", {**_RESPONSE, "writeSet": ["X1"]}),
     ("check", {**_RESPONSE, "writeSet": 5}),
     ("sidecar", [1]),
+    ("algorithm", ["base"]),
+    ("algorithm", {"tag": "no-seamless", "timeoutTicks": "x"}),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
-        "unknown-kind", "decisions-int", "seed-str", "schedule-list", "scenario-list",
+        "unknown-kind", "decisions-int", "seed-str", "schedule-list", "complete-str",
+        "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
-        "write-entry-str", "write-set-int", "sidecar-list"])
+        "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
+        "timeout-str"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document) + "\n")
@@ -366,6 +372,14 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
         capsys.readouterr()
         path.replace(str(out) + ".meta.json")
         argv = ["check", "--trace", str(out), "--property", "weak-ir"]
+    elif command == "algorithm":
+        assert main(["run", "--scenario", "solo-r1", "--algorithm", "no-seamless",
+                     "--schedule", "fair", "--out", str(out)]) == 0
+        capsys.readouterr()
+        sidecar = Path(str(out) + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**meta, "algorithm": document}))
+        argv = ["check", "--trace", str(out), "--property", "seamless-ft"]
     elif command == "scenario":
         argv = ["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
                 "--out", str(out)]
@@ -385,9 +399,16 @@ def test_cli_malformed_input_baseline_runs(tmp_path):
                  "--out", str(tmp_path / "x.jsonl")]) == 0
 
 
-def test_cli_run_rejects_builtin_schedule_mismatch(tmp_path):
-    # The rfids builder needs three single-read transactions; the fids
-    # scenario cannot host it.
+def test_cli_run_rejects_builtin_schedule_mismatch(tmp_path, capsys):
+    # no-seamless needs a replicated placement, which fids lacks.
     code = main(["run", "--scenario", "fids", "--algorithm", "no-seamless",
                  "--schedule", "builtin:fids", "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
+    capsys.readouterr()
+    # The rfids builder needs t3, which the fids scenario lacks.
+    code = main(["run", "--scenario", "fids", "--algorithm", "base",
+                 "--schedule", "builtin:rfids", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: counterexample schedule needs transactions t3, which scenario 'fids' lacks\n"
+    )
