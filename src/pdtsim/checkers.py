@@ -21,7 +21,6 @@ from .model import (
     RECV,
     RESPONSE,
     SEND,
-    VALUE_LEARNED,
     CommittedHistory,
     ExecutionTrace,
     Step,
@@ -289,7 +288,7 @@ def check_strong_ir(trace: ExecutionTrace) -> Verdict:
         return Verdict("strong-ir", False, witness=weak.witness,
                        details={"reason": "weak invisible reads violated"})
     if trace.scenario is None or trace.config is None or trace.algorithm is None:
-        raise ScheduleIncompatible("strong-ir needs the trace's scenario/config/schedule refs")
+        raise ScheduleIncompatible("strong-ir needs the trace's scenario/config/algorithm refs")
 
     checked = []
     for prog in trace.scenario.transactions:
@@ -351,58 +350,40 @@ def _twin_schedule(schedule_json: Any) -> Schedule:
 # ---------------------------------------------------------------------------
 
 
-def _data_sets(trace: ExecutionTrace) -> dict[str, set[str]]:
-    return {p.txn_id: p.data_set() for p in trace.scenario.transactions}
-
-
-def check_dap(trace: ExecutionTrace) -> Verdict:
-    """Transactions with disjoint data sets must never contend."""
-    data = _data_sets(trace)
-    for i, j in sorted(contending_pairs(trace)):
-        if i > j:
-            continue
-        s1, s2 = trace.steps[i], trace.steps[j]
-        if not (data[s1.txn] & data[s2.txn]):
-            return Verdict(
-                "dap", False,
-                witness={"steps": [i, j], "obj": s1.obj, "node": s1.proc.node,
-                         "txns": sorted([s1.txn, s2.txn])},
-            )
-    return Verdict("dap", True)
-
-
-def check_ddap(trace: ExecutionTrace) -> Verdict:
-    """Contention on a node requires the data sets to intersect on that node's shard."""
-    data = _data_sets(trace)
+def _disjoint_access(trace: ExecutionTrace, prop: str, per_node: bool) -> Verdict:
+    """The first contending step pair whose transactions share no data item,
+    or, with ``per_node``, none on the contended node's shard."""
+    data = {p.txn_id: p.data_set() for p in trace.scenario.transactions}
     for i, j in sorted(contending_pairs(trace)):
         if i > j:
             continue
         s1, s2 = trace.steps[i], trace.steps[j]
         node = s1.proc.node
-        shard = set(trace.scenario.local_items(node))
-        if not (data[s1.txn] & data[s2.txn] & shard):
+        shared = data[s1.txn] & data[s2.txn]
+        if per_node:
+            shared &= set(trace.scenario.local_items(node))
+        if not shared:
             return Verdict(
-                "ddap", False,
+                prop, False,
                 witness={"steps": [i, j], "obj": s1.obj, "node": node,
                          "txns": sorted([s1.txn, s2.txn])},
             )
-    return Verdict("ddap", True)
+    return Verdict(prop, True)
+
+
+def check_dap(trace: ExecutionTrace) -> Verdict:
+    """Transactions with disjoint data sets must never contend."""
+    return _disjoint_access(trace, "dap", per_node=False)
+
+
+def check_ddap(trace: ExecutionTrace) -> Verdict:
+    """Contention on a node requires the data sets to intersect on that node's shard."""
+    return _disjoint_access(trace, "ddap", per_node=True)
 
 
 # ---------------------------------------------------------------------------
 # Fast decision and read delay
 # ---------------------------------------------------------------------------
-
-
-def _learning_notes(trace: ExecutionTrace, txn: str) -> list[tuple[int, int]]:
-    """(step index, step depth) of every valueLearned note, in trace order."""
-    index = trace.index
-    notes = []
-    for i in index.txn_steps[txn]:
-        s = trace.steps[i]
-        if s.kind == NOTE and s.tag == VALUE_LEARNED:
-            notes.append((i, index.depths[i]))
-    return notes
 
 
 def check_fast_decision(trace: ExecutionTrace) -> Verdict:
@@ -423,17 +404,14 @@ def check_fast_decision(trace: ExecutionTrace) -> Verdict:
             return Verdict("fast-decision", False,
                            witness={"reason": f"{txn} did not run solo"})
         depth = txn_depth(trace, txn)
-        notes = _learning_notes(trace, txn)
-        learned_depths = [d for _, d in notes]
+        notes = index.learned_notes[txn]
+        learned_depths = [index.depths[i] for i in notes]
         pd = index.prefix_partial_depths(txn)
-        count = 0  # notes strictly before the prefix end
-        for length in range(len(trace.steps) + 1):
-            while count < len(notes) and notes[count][0] < length:
-                count += 1
+        # Partial depth never falls as the prefix grows, so among the prefixes
+        # that hold the same `count` notes the first is the one to check.
+        for count, length in enumerate([0] + [i + 1 for i in notes]):
             p = pd[length]
-            if p >= depth - 2:
-                continue
-            if count >= len(notes) or learned_depths[count] > p + 2:
+            if p < depth - 2 and (count >= len(notes) or learned_depths[count] > p + 2):
                 return Verdict(
                     "fast-decision", False,
                     witness={
@@ -462,7 +440,7 @@ def check_read_delay(trace: ExecutionTrace) -> Verdict:
         if trace.coordinator_response(txn) is None:
             continue
         pd = trace.index.prefix_partial_depths(txn)
-        for i, _ in _learning_notes(trace, txn):
+        for i in trace.index.learned_notes[txn]:
             if pd[i + 1] < 2:
                 return Verdict(
                     "read-delay", False,
@@ -761,6 +739,7 @@ PROPERTIES = tuple(CHECKERS_BY_NAME)
 
 # Trace refs a property reads from the .meta.json sidecar.
 SIDECAR_REFS: dict[str, tuple[str, ...]] = {
+    "strong-ir": ("scenario", "config", "algorithm"),
     "dap": ("scenario",),
     "ddap": ("scenario",),
     "seamless-ft": ("scenario", "config", "schedule"),

@@ -55,7 +55,6 @@ class SimConfig:
     n_clients: int = 1
     delta: int = 64
     gst: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_nodes < 1 or self.procs_per_node < 1 or self.delta < 1 or self.gst < 0:
@@ -68,13 +67,12 @@ class SimConfig:
             "nClients": self.n_clients,
             "delta": self.delta,
             "gst": self.gst,
-            "seed": self.seed,
         }
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
         d = json_object(d, "sim config")
-        values = [d[k] for k in ("nNodes", "procsPerNode", "nClients", "delta", "gst", "seed")]
+        values = [d[k] for k in ("nNodes", "procsPerNode", "nClients", "delta", "gst")]
         if any(type(v) is not int for v in values):
             raise MalformedInput(f"sim config fields must be integers: {d!r}")
         return SimConfig(*values)
@@ -235,13 +233,9 @@ def inject_crash(schedule: Schedule, node: int, after_step_index: int) -> Schedu
     """
     if after_step_index < 0:
         raise ValueError("afterStepIndex must be >= 0")
-    for d in schedule.decisions[: after_step_index + 1]:
-        if d.t == "crash" and d.node == node:
-            raise AlreadyCrashed(f"node {node} already crashes in this schedule")
+    if any(d.t == "crash" and d.node == node for d in schedule.decisions):
+        raise AlreadyCrashed(f"node {node} already crashes in this schedule")
     pos = min(after_step_index, len(schedule.decisions))
-    for d in schedule.decisions[pos:]:
-        if d.t == "crash" and d.node == node:
-            raise AlreadyCrashed(f"node {node} already crashes in this schedule")
     new = list(schedule.decisions)
     new.insert(pos, Decision("crash", node=node))
     return Schedule(

@@ -345,6 +345,15 @@ class TraceIndex:
         return out
 
     @cached_property
+    def learned_notes(self) -> dict[str, list[int]]:
+        """Step indices of each transaction's valueLearned notes, ascending."""
+        steps = self.steps
+        return {
+            txn: [i for i in idx if steps[i].kind == NOTE and steps[i].tag == VALUE_LEARNED]
+            for txn, idx in self.txn_steps.items()
+        }
+
+    @cached_property
     def responses(self) -> dict[str, Step]:
         """Each transaction's first coordinator response carrying an outcome."""
         out: dict[str, Step] = {}
@@ -486,8 +495,9 @@ class TraceIndex:
 
         The interval starts at the coordinator invocation and ends once every
         handler of the transaction has responded and every send has either
-        been received or had its target node crash. Unresolved sends leave
-        the interval open through the end of the trace.
+        been received or had its target node crash. A handler with no
+        response or an unresolved send leaves the interval open through the
+        end of the trace.
         """
         steps = self.steps
         crash_at: dict[int, int] = {}
@@ -502,43 +512,31 @@ class TraceIndex:
                 recv_of[s.msg_id] = s.i
 
         handlers = self.handlers
-        handler_txn: dict[int, str | None] = {}
-        handler_resp: dict[int, int] = {}
-        for s in steps:
-            h = handlers[s.i]
-            if h is None:
-                continue
-            handler_txn.setdefault(h, s.txn)
-            if s.kind == RESPONSE:
-                handler_resp[h] = s.i
-
-        end = dict.fromkeys(self.txn_steps, 0)
-        closed = dict.fromkeys(self.txn_steps, True)
-        for h, t in handler_txn.items():
-            if t is None:
-                continue
-            if h in handler_resp:
-                end[t] = max(end[t], handler_resp[h])
-            else:
-                closed[t] = False
-
         out: dict[str, tuple[int, int]] = {}
         for txn, txn_steps in self.txn_steps.items():
             start = None
+            end = 0
+            closed = True
+            open_handlers: set[int] = set()
             for i in txn_steps:
                 s = steps[i]
+                if s.kind == RESPONSE:
+                    open_handlers.discard(handlers[i])
+                    end = max(end, i)
+                elif handlers[i] is not None:
+                    open_handlers.add(handlers[i])
                 if s.kind == INVOKE and start is None:
                     start = i
                 elif s.kind == SEND:
                     if s.msg_id in recv_of:
-                        end[txn] = max(end[txn], recv_of[s.msg_id])
+                        end = max(end, recv_of[s.msg_id])
                     elif s.msg_id in dropped_to:
                         # The send stops blocking the interval at the target's crash.
-                        end[txn] = max(end[txn], crash_at[dropped_to[s.msg_id]], i)
+                        end = max(end, crash_at[dropped_to[s.msg_id]], i)
                     else:
-                        closed[txn] = False
+                        closed = False
             if start is not None:
-                out[txn] = (start, end[txn] if closed[txn] else len(steps) - 1)
+                out[txn] = (start, end if closed and not open_handlers else len(steps) - 1)
         return out
 
     def concurrent(self, t1: str, t2: str) -> bool:
@@ -603,12 +601,7 @@ def value_learned_events(trace: ExecutionTrace, txn: str) -> dict[str, int]:
     """Step index of the last valueLearned note per read item of the transaction."""
     if not trace.decided(txn):
         raise Undecided(f"transaction {txn!r} is not decided in this trace")
-    out: dict[str, int] = {}
-    for i in trace.index.txn_steps[txn]:
-        s = trace.steps[i]
-        if s.kind == NOTE and s.tag == VALUE_LEARNED:
-            out[s.data["item"]] = i
-    return out
+    return {trace.steps[i].data["item"]: i for i in trace.index.learned_notes[txn]}
 
 
 def intervals(trace: ExecutionTrace) -> dict[str, tuple[int, int]]:

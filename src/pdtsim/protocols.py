@@ -141,31 +141,22 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
     tid = prog.txn_id
     round_counter = [0]
 
-    recorded = yield from _read_phase(env, prog, round_counter)
-    if recorded.keys() != set(prog.read_set):
+    recorded, reads, writes = yield from _read_and_plan(env, prog, round_counter)
+    if reads is None:
         return _read_abort(prog, recorded)
-    reads = [[k, recorded[k][1]] for k in prog.read_set]
-    writes = prog.writes_for({k: v for k, (v, _) in recorded.items()}, env.placement.initials)
-
-    tag = env.variant.tag
-    if tag == NO_FAST:
+    if env.variant.tag == NO_FAST:
         outcome, seqs, contacted = yield from _two_round_validation(env, tid, reads, writes)
-    elif tag == NO_SEAMLESS:
-        outcome, seqs, contacted = yield from _wait_all_validation(env, tid, reads, writes)
-        if outcome == "timeout":
-            for n in contacted:
-                yield SendMsg(("node", n), pmsg("restart", _txn_body(tid, reads, writes)))
-            # Fall back to the two-round algorithm, re-reading from scratch.
-            recorded = yield from _read_phase(env, prog, round_counter)
-            if recorded.keys() != set(prog.read_set):
-                return _read_abort(prog, recorded)
-            reads = [[k, recorded[k][1]] for k in prog.read_set]
-            writes = prog.writes_for(
-                {k: v for k, (v, _) in recorded.items()}, env.placement.initials
-            )
-            outcome, seqs, contacted = yield from _two_round_validation(env, tid, reads, writes)
     else:
-        outcome, seqs, contacted = yield from _fast_validation(env, tid, reads, writes)
+        outcome, seqs, contacted = yield from _validation(env, tid, reads, writes)
+    if outcome == "timeout":
+        # no-seamless: release the first attempt, then fall back to the
+        # two-round algorithm, re-reading from scratch.
+        for n in contacted:
+            yield SendMsg(("node", n), pmsg("restart", _txn_body(tid, reads, writes)))
+        recorded, reads, writes = yield from _read_and_plan(env, prog, round_counter)
+        if reads is None:
+            return _read_abort(prog, recorded)
+        outcome, seqs, contacted = yield from _two_round_validation(env, tid, reads, writes)
 
     read_set = [[k, recorded[k][0]] for k in prog.read_set]
     write_set = [[k, v] for k, v in writes]
@@ -179,6 +170,20 @@ def _coordinator(env: ProtocolEnv, prog: TransactionProgram):
         for n in contacted:
             yield SendMsg(("node", n), pmsg("abort", _txn_body(tid, reads, writes)))
     return {"outcome": outcome, "readSet": read_set, "writeSet": write_set}
+
+
+def _read_and_plan(env: ProtocolEnv, prog: TransactionProgram, round_counter):
+    """Run the read phase, then evaluate the write rule on what it learned.
+
+    Returns (recorded, reads, writes): reads as [item, seqNum] pairs and
+    writes as (item, value) pairs, or both None when the read phase stopped
+    early."""
+    recorded = yield from _read_phase(env, prog, round_counter)
+    if recorded.keys() != set(prog.read_set):
+        return recorded, None, None
+    reads = [[k, recorded[k][1]] for k in prog.read_set]
+    writes = prog.writes_for({k: v for k, (v, _) in recorded.items()}, env.placement.initials)
+    return recorded, reads, writes
 
 
 def _read_phase(env: ProtocolEnv, prog: TransactionProgram, round_counter):
@@ -261,34 +266,25 @@ def _txn_body(tid, reads, writes) -> dict:
     return {"tid": tid, "reads": reads, "writes": [[k, v] for k, v in writes]}
 
 
-def _fast_validation(env: ProtocolEnv, tid, reads, writes):
+def _validation(env: ProtocolEnv, tid, reads, writes):
     """Single round: every contacted node checks read seqNums and long-locks
-    write items; all-commit votes from per-group quorums decide commit."""
+    write items; all-commit votes from per-group quorums decide commit.
+
+    no-ddap writers also wait until only f nodes can be missing; no-seamless
+    waits for every contacted node, and a timeout hands control back for the
+    restart fallback."""
     contact = _decision_contacts(env, reads, writes)
     if not contact:
         return "commit", {}, []
     items = [k for k, _ in reads] + [k for k, _ in writes]
-    total_needed = None
-    if env.variant.tag == NO_DDAP and writes:
-        # Writers really lock all nodes; wait until only f can be missing.
+    total_needed = timeout = None
+    if env.variant.tag == NO_SEAMLESS:
+        total_needed, timeout = len(contact), env.timeout_ticks
+    elif env.variant.tag == NO_DDAP and writes:
         total_needed = env.config.n_nodes - env.placement.f
     outcome, seqs = yield from _round(
         contact, "validate", _txn_body(tid, reads, writes),
-        lambda replied: env.quorum_met(items, replied, total_needed),
-    )
-    return outcome, seqs, contact
-
-
-def _wait_all_validation(env: ProtocolEnv, tid, reads, writes):
-    """no-seamless: base validation, but every node must reply; a timeout
-    hands control back for the restart fallback."""
-    contact = _decision_contacts(env, reads, writes)
-    if not contact:
-        return "commit", {}, []
-    everyone = set(contact)
-    outcome, seqs = yield from _round(
-        contact, "validate", _txn_body(tid, reads, writes),
-        lambda replied: replied == everyone, timeout=env.timeout_ticks,
+        lambda replied: env.quorum_met(items, replied, total_needed), timeout=timeout,
     )
     return outcome, seqs, contact
 
@@ -351,11 +347,6 @@ def _local_items(env: ProtocolEnv, node: int, keys) -> list[str]:
     return sorted(k for k in set(keys) if node in env.placement.groups[k])
 
 
-def _release_cased(cased):
-    for key in cased:
-        yield PrimOp(key, "write", [None])
-
-
 def _handle_validate(env: ProtocolEnv, node: int, client, body, reply: str):
     """base / weak-ir validation and no-fast's lock round: read items must be
     lock-free with matching seqNums; write items get lockL CASed. weak-ir
@@ -377,24 +368,20 @@ def _handle_validate(env: ProtocolEnv, node: int, client, body, reply: str):
             if seq != reads[key]:
                 success = False
                 break
-            if lock_reads and key not in writes:
-                ok = yield PrimOp(f"{key}.lockL", "cas", [None, tid])
-                if not ok:
-                    success = False
-                    break
-                cased.append(f"{key}.lockL")
-        if key in writes:
+        if key in writes or lock_reads:
             ok = yield PrimOp(f"{key}.lockL", "cas", [None, tid])
             if not ok:
                 success = False
                 break
             cased.append(f"{key}.lockL")
+        if key in writes:
             seq = yield PrimOp(f"{key}.seqNum", "read")
             write_seqs.append([key, seq])
     if success:
         yield SendMsg(client, pmsg(reply, {"vote": "commit", "writeSeqs": write_seqs}))
     else:
-        yield from _release_cased(cased)
+        for obj in cased:
+            yield PrimOp(obj, "write", [None])
         yield SendMsg(client, pmsg(reply, {"vote": "abort", "writeSeqs": []}))
 
 
@@ -451,20 +438,17 @@ def _handle_check(env: ProtocolEnv, node: int, client, body):
     yield SendMsg(client, pmsg("checkReply", {"vote": "commit" if success else "abort"}))
 
 
-def _install_writes(env: ProtocolEnv, node: int, tid, writes):
-    """Apply committed writes under lockS; stale seqNums are skipped."""
-    for key, val, seq in writes:
-        if node not in env.placement.groups[key]:
-            continue
-        while True:
-            ok = yield PrimOp(f"{key}.lockS", "cas", [None, tid])
-            if ok:
-                break
-        cur = yield PrimOp(f"{key}.seqNum", "read")
-        if cur < seq:
-            yield PrimOp(f"{key}.seqNum", "write", [seq])
-            yield PrimOp(f"{key}.val", "write", [val])
-        yield PrimOp(f"{key}.lockS", "write", [None])
+def _install_write(tid, key, val, seq):
+    """Apply one committed write under lockS; a stale seqNum is skipped."""
+    while True:
+        ok = yield PrimOp(f"{key}.lockS", "cas", [None, tid])
+        if ok:
+            break
+    cur = yield PrimOp(f"{key}.seqNum", "read")
+    if cur < seq:
+        yield PrimOp(f"{key}.seqNum", "write", [seq])
+        yield PrimOp(f"{key}.val", "write", [val])
+    yield PrimOp(f"{key}.lockS", "write", [None])
 
 
 def _release_long_lock(tid, obj):
@@ -473,35 +457,36 @@ def _release_long_lock(tid, obj):
         yield PrimOp(obj, "write", [None])
 
 
-def _handle_commit(env: ProtocolEnv, node: int, body):
-    tid = body["tid"]
-    writes = sorted(body["writes"])
-    if env.variant.tag == NO_DDAP:
-        yield from _install_writes(env, node, tid, writes)
-        if body["writes"]:
-            yield from _release_long_lock(tid, GLOBAL_LOCK)
+def _release_writer_locks(env: ProtocolEnv, node: int, body):
+    """Release the long locks a writer holds beyond its write items:
+    no-ddap's node lock and weak-ir's read-item locks."""
+    if not body["writes"]:
         return
-    for key, val, seq in writes:
-        if node not in env.placement.groups[key]:
-            continue
-        yield from _install_writes(env, node, tid, [[key, val, seq]])
-        yield from _release_long_lock(tid, f"{key}.lockL")
-    if env.variant.tag == WEAK_IR and body["writes"]:
+    tid = body["tid"]
+    if env.variant.tag == NO_DDAP:
+        yield from _release_long_lock(tid, GLOBAL_LOCK)
+    elif env.variant.tag == WEAK_IR:
         for key in _local_items(env, node, [k for k, _ in body["reads"]]):
             yield from _release_long_lock(tid, f"{key}.lockL")
+
+
+def _handle_commit(env: ProtocolEnv, node: int, body):
+    tid = body["tid"]
+    for key, val, seq in sorted(body["writes"]):
+        if node not in env.placement.groups[key]:
+            continue
+        yield from _install_write(tid, key, val, seq)
+        if env.variant.tag != NO_DDAP:
+            yield from _release_long_lock(tid, f"{key}.lockL")
+    yield from _release_writer_locks(env, node, body)
 
 
 def _handle_abort(env: ProtocolEnv, node: int, body):
     tid = body["tid"]
-    if env.variant.tag == NO_DDAP:
-        if body["writes"]:
-            yield from _release_long_lock(tid, GLOBAL_LOCK)
-        return
-    for key in _local_items(env, node, [k for k, _ in body["writes"]]):
-        yield from _release_long_lock(tid, f"{key}.lockL")
-    if env.variant.tag == WEAK_IR and body["writes"]:
-        for key in _local_items(env, node, [k for k, _ in body["reads"]]):
+    if env.variant.tag != NO_DDAP:
+        for key in _local_items(env, node, [k for k, _ in body["writes"]]):
             yield from _release_long_lock(tid, f"{key}.lockL")
+    yield from _release_writer_locks(env, node, body)
 
 
 def _handle_restart(env: ProtocolEnv, node: int, body):

@@ -78,16 +78,15 @@ class Scenario:
             TransactionProgram.from_json(t)
             for t in json_list(d["transactions"], "scenario field 'transactions'")
         ]
+        config = SimConfig(
+            n_nodes=max((n for grp in placement.groups.values() for n in grp), default=0) + 1,
+            procs_per_node=max(1, len(txns)),
+            n_clients=max((t.client for t in txns), default=0) + 1,
+        )
         if "sim" in d:
-            config = SimConfig.from_json(d["sim"])
-        else:
-            n_nodes = max(n for grp in placement.groups.values() for n in grp) + 1
-            n_clients = max((t.client for t in txns), default=0) + 1
-            config = SimConfig(
-                n_nodes=n_nodes,
-                procs_per_node=max(1, len(txns)),
-                n_clients=n_clients,
-            )
+            # The section overrides only the keys it gives.
+            sim = json_object(d["sim"], "sim config")
+            config = SimConfig.from_json({**config.to_json(), **sim})
         return Scenario(d.get("name", "scenario"), placement, txns, config)
 
 

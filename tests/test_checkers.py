@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -25,8 +26,8 @@ from pdtsim.checkers import (
     verify_trace_invariants,
 )
 from pdtsim.cli import main
-from pdtsim.engine import Schedule, Simulation, inject_crash
-from pdtsim.errors import PlacementError, ScheduleIncompatible
+from pdtsim.engine import Decision, Schedule, Simulation, inject_crash
+from pdtsim.errors import InvariantViolation, PlacementError, ScheduleIncompatible
 from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step, txn_depth
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
@@ -272,6 +273,13 @@ def test_strong_ir_base_passes(base):
     v = check_strong_ir(trace)
     assert v.passed
     assert any(c["twin"] == "replayed" for c in v.details["checked"])
+    # A concurrent read-only transaction: the twin replay of w2 must leave
+    # r1's steps unchanged.
+    scen = get_scenario("readonly-pair")
+    trace = run(scen.config, base, scen, Schedule("fair")).trace
+    v = check_strong_ir(trace)
+    assert v.passed
+    assert v.details["checked"] == [{"txn": "w2", "twin": "replayed"}]
 
 
 def test_strong_ir_weak_ir_variant_fails():
@@ -490,37 +498,150 @@ def test_invariants_hold_on_generated_traces(base):
         verify_trace_invariants(trace)
 
 
-def test_invariants_catch_seq_regression(base):
-    scen = scenario_solo(0)
-    trace = run(scen.config, base, scen, Schedule("fair")).trace
-    bad = next(s for s in trace.steps
-               if s.kind == "prim" and s.op == "write" and s.obj == "Y.seqNum")
-    bad.fields["args"] = [-1]
-    with pytest.raises(AssertionError):
-        verify_trace_invariants(trace)
+def _recorded(name: str) -> ExecutionTrace:
+    """A fair base-variant trace of one of the scenarios the edits below use."""
+    base = AlgorithmVariant("base")
+    if name == "sequential-writers":
+        # Client 0 runs t1, t2, t3 one after another on a single node.
+        scen = make_scenario({"X": None, "Y": None}, {"X": [0], "Y": [0]}, 1, 0, [
+            ("t1", 0, [], [("X", "always", "a")]),
+            ("t2", 0, [], [("X", "always", "b")]),
+            ("t3", 0, [], [("Y", "always", "c")]),
+        ])
+    else:
+        scen = get_scenario(name.removesuffix("-crash"))
+    res = run(scen.config, base, scen, Schedule("fair"))
+    if name.endswith("-crash"):
+        # Node 2 crashes once everything has run.
+        res = run(scen.config, base, scen, Schedule(
+            "scripted", list(res.decisions) + [Decision("crash", node=2)]))
+    return res.trace
 
 
-# The lock leak of random exact runs (fids, base, seed 36; ROADMAP item 1)
-# trips the lock-release clause; the suite must still raise with asserts
-# stripped. Once the leak is fixed, this needs a hand-corrupted trace instead.
-_LOCK_LEAK_REPRO = """
-from pdtsim import run
+def _edited(name: str, edit) -> ExecutionTrace:
+    """The recorded trace with one edit to a copy of its steps, renumbered."""
+    trace = _recorded(name)
+    steps = [Step(s.i, s.kind, s.proc, s.txn, copy.deepcopy(s.fields)) for s in trace.steps]
+    edit(steps)
+    for i, s in enumerate(steps):
+        s.i = i
+    return ExecutionTrace(steps, trace.scenario, trace.algorithm, trace.schedule, trace.config)
+
+
+def _nth(steps, pred, n=0) -> int:
+    return [i for i, s in enumerate(steps) if pred(s)][n]
+
+
+def _is(kind, txn=None, **fields):
+    return lambda s: (s.kind == kind and (txn is None or s.txn == txn)
+                      and all(s.fields.get(k) == v for k, v in fields.items()))
+
+
+def _msg(kind, payload_kind):
+    return lambda s: s.kind == kind and s.payload["kind"] == payload_kind
+
+
+def _set(pred, **fields):
+    def edit(steps):
+        steps[_nth(steps, pred)].fields.update(fields)
+    return edit
+
+
+def _set_body(pred, **body):
+    def edit(steps):
+        steps[_nth(steps, pred)].fields["payload"]["body"].update(body)
+    return edit
+
+
+def _set_txn(pred, txn):
+    def edit(steps):
+        steps[_nth(steps, pred)].txn = txn
+    return edit
+
+
+def _second_reuses_first_msg_id(pred):
+    def edit(steps):
+        steps[_nth(steps, pred, 1)].fields["msgId"] = steps[_nth(steps, pred)].msg_id
+    return edit
+
+
+def _move_to(pred, pos):
+    def edit(steps):
+        steps.insert(pos, steps.pop(_nth(steps, pred)))
+    return edit
+
+
+def _delete(pred):
+    def edit(steps):
+        del steps[_nth(steps, pred)]
+    return edit
+
+
+# One minimal edit per invariant clause, with the message the clause raises.
+# The two happened-before clauses (edges point forward; depth never falls
+# along an edge) have no case because they cannot fire: every predecessor in
+# TraceIndex.preds has a smaller index, and a step's depth is at least that
+# of its handler predecessor and of its matching send.
+INVARIANT_EDITS = {
+    "duplicate-send": (
+        "solo-r0", _second_reuses_first_msg_id(_is("send")), "duplicate send msgId 0"),
+    "recv-without-send": (
+        "solo-r0", _set(_is("recv"), msgId=10**6), "recv 4 has no prior send"),
+    "delivered-twice": (
+        "solo-r0", _second_reuses_first_msg_id(_is("recv")), "message 0 delivered twice"),
+    "txn-mismatch": (
+        "solo-r0", _set_txn(_is("recv"), "t9"), "send/recv transaction mismatch"),
+    "crash-finality": (
+        "solo-r0-crash", _move_to(_is("crash"), 1), "step 17 on node 2 after its crash at 1"),
+    "seqnum-decreased": (
+        "solo-r0", _set(_is("prim", op="write", obj="Y.seqNum"), args=[-1]),
+        "seqNum decreased at step 33"),
+    "cas-over-held-lock": (
+        "sequential-writers", _delete(_is("prim", "t1", op="write", obj="X.lockL")),
+        "lock CAS won over a held lock at 23"),
+    "still-holds": (
+        "sequential-writers", _delete(_is("prim", "t2", op="write", obj="X.lockL")),
+        "t2 still holds (0, 'X.lockL') at interval end 40"),
+    "read-atomicity": (
+        "solo-r1", _set_body(_msg("send", "readReply"), val="ghost"),
+        "ReadReply at 10 returned a state the replica never held"),
+    "decision-agreement": (
+        "solo-r0", _set_body(_msg("recv", "validateReply"), vote="abort"),
+        "t1 broadcast commit after receiving an abort vote at 22"),
+    "weak-ir": (
+        "readonly-pair", _set(_is("prim", "r1"), nontrivial=True),
+        "weak-ir violated: {'txn': 'r1', 'step': 9, 'obj': 'X1.lockS', 'op': 'read'}"),
+    "read-delay": (
+        "solo-r1", _move_to(_is("note", tag="valueLearned"), 1),
+        "read-delay violated: {'txn': 't1', 'step': 1, 'partialDepth': 0}"),
+}
+
+
+@pytest.mark.parametrize("clause", INVARIANT_EDITS)
+def test_invariants_catch_one_edit(clause):
+    name, edit, message = INVARIANT_EDITS[clause]
+    verify_trace_invariants(_recorded(name))
+    with pytest.raises(InvariantViolation) as caught:
+        verify_trace_invariants(_edited(name, edit))
+    assert str(caught.value) == message
+
+
+# The suite must still raise with asserts stripped.
+_STILL_HOLDS_REPRO = """
 from pdtsim.checkers import verify_trace_invariants
-from pdtsim.engine import Schedule
 from pdtsim.errors import InvariantViolation
-from pdtsim.protocols import AlgorithmVariant
-from pdtsim.scenarios import scenario_fids
-scen = scenario_fids()
-sched = Schedule("random", seed=36, granularity="exact")
+from test_checkers import INVARIANT_EDITS, _edited
+name, edit, _ = INVARIANT_EDITS["still-holds"]
 try:
-    verify_trace_invariants(run(scen.config, AlgorithmVariant("base"), scen, sched).trace)
+    verify_trace_invariants(_edited(name, edit))
 except InvariantViolation as e:
     print(e)
 """
 
 
 def test_invariants_raise_under_python_O():
-    env = dict(os.environ, PYTHONPATH=str(Path(pdtsim.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-O", "-c", _LOCK_LEAK_REPRO], env=env,
+    path = os.pathsep.join([str(Path(pdtsim.__file__).parents[1]), str(Path(__file__).parent)])
+    out = subprocess.run([sys.executable, "-O", "-c", _STILL_HOLDS_REPRO],
+                         env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert out.stdout == "t1 still holds (1, 'X2.lockL') at interval end 71\n"
+    assert out.stdout == INVARIANT_EDITS["still-holds"][2] + "\n"

@@ -235,6 +235,12 @@ def test_cli_run_and_check(tmp_path, capsys):
     assert verdict["witness"]["cycle"] == ["t1", "t2"]
     assert main(["check", "--trace", str(out), "--property", "weak-ir"]) == 0
     assert main(["check", "--trace", str(out), "--property", "ddap"]) == 0
+    # Every replay check names the missing sidecar the same way.
+    Path(str(out) + ".meta.json").unlink()
+    capsys.readouterr()
+    for prop in ("strong-ir", "ddap", "seamless-ft"):
+        assert main(["check", "--trace", str(out), "--property", prop]) == 2
+        assert capsys.readouterr().err == f"error: {prop} needs the trace's .meta.json sidecar\n"
 
 
 def test_cli_explore(tmp_path):
@@ -342,6 +348,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("scenario", {**_SCENARIO, "items": [1]}),
     ("scenario", {**_SCENARIO, "placement": [1]}),
     ("scenario", {**_SCENARIO, "k": "1"}),
+    ("scenario", {**_SCENARIO, "sim": {"delta": "64"}}),
     ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "client": "0"}]}),
     ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "writeRule": [
         {"target": "X", "condition": "sometimes", "value": "v"}]}]}),
@@ -356,7 +363,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "complete-str",
         "tolerant-str", "scenario-list",
-        "transactions-int", "item-int", "placement-list", "k-str", "client-str",
+        "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
         "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
         "timeout-str"])
@@ -397,6 +404,21 @@ def test_cli_malformed_input_baseline_runs(tmp_path):
     path.write_text(json.dumps(_SCENARIO))
     assert main(["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
                  "--out", str(tmp_path / "x.jsonl")]) == 0
+
+
+def test_scenario_partial_sim_section_keeps_defaults(tmp_path, capsys):
+    # A "sim" section overrides only the keys it gives; an old file's "seed"
+    # is ignored like any other unknown key.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_SCENARIO, "sim": {"nNodes": 2, "delta": 32, "seed": 7}}))
+    out = tmp_path / "x.jsonl"
+    assert main(["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("t1: commit\n")
+    meta = json.loads(Path(str(out) + ".meta.json").read_text())
+    expected = {"nNodes": 2, "procsPerNode": 1, "nClients": 1, "delta": 32, "gst": 0}
+    assert meta["config"] == expected
+    assert meta["scenario"]["sim"] == expected
 
 
 def test_cli_run_rejects_builtin_schedule_mismatch(tmp_path, capsys):

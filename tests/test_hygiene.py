@@ -1,0 +1,64 @@
+"""Source hygiene of the package: no unused imports and no unreferenced
+private module-level functions or classes, so a deletion leaves no
+stragglers behind."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pdtsim
+
+SRC = Path(pdtsim.__file__).parent
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name a module loads, attribute names included."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name a module's imports bind, with its line."""
+    out: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        used = _used_names(tree)
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _imported_names(tree).items() if name not in used]
+    assert unused == []
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*(_used_names(tree) for tree in trees.values()))
+    unreferenced = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items() if path.name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []
