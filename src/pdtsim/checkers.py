@@ -509,6 +509,8 @@ def check_seamless_ft(
 
     # Walk the base run once; each injection branches from a clone of it at
     # its position, and each completion attempt from a clone of that branch.
+    # An attempt stops once every transaction has decided: the signature and
+    # the depths compared are fixed from then on.
     sim = engine.Simulation(config, variant, scenario, granularity=schedule.granularity)
     for d in base.decisions[:first_pos]:
         sim.apply(d)
@@ -524,8 +526,8 @@ def check_seamless_ft(
             for attempt in range(completions + 1):
                 trial = injected.clone()
                 policy = engine.RandomPolicy(attempt) if attempt else engine.FairPolicy()
-                engine.drive(trial, policy)
-                trace = trial.result().trace
+                engine.drive(trial, engine.UntilDecided(policy))
+                trace = ExecutionTrace(trial.steps)
                 if _coordinator_signature(trace) == base_sig and _decided_depths(trace) == base_depths:
                     break
                 if attempt == 0:

@@ -743,6 +743,18 @@ class RandomPolicy:
         return None
 
 
+class UntilDecided:
+    """Stops the wrapped policy once every transaction has decided. Every
+    coordinator response is then in the trace, so the committed history and
+    every transaction's depth are fixed: nothing that follows changes them."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def next_decision(self, sim: Simulation) -> Decision | None:
+        return None if sim.all_decided() else self.policy.next_decision(sim)
+
+
 class ScriptPolicy:
     """Replays a recorded decision list, optionally tolerating decisions that
     no longer apply (used by crash-injected replays), optionally completing

@@ -17,17 +17,32 @@ Each frontier with more than one choice keeps a snapshot (Simulation.clone)
 of the state before its first choice. A backtrack resumes from a clone of the
 deepest snapshot with an untried alternative, so no schedule re-executes its
 prefix from the initial state. From there the run descends greedily to a new
-terminal until every transaction has decided, and leaves the tail to the fair
-policy. Frontier orderings rotate with depth so the first descents interleave
-the transactions instead of serializing them.
+terminal: it stops once every transaction has decided, or once nothing is
+enabled. Its steps then hold every coordinator response, so they give the
+terminal's history; the rest of the run could change no response. The fair
+policy drives a stopped run to quiescence only when its decision list is
+needed: for the schedule of a violation seen for the first time, or for
+on_terminal. Frontier orderings rotate with depth so the first descents
+interleave the transactions instead of serializing them.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .checkers import Verdict, check_serializability
-from .engine import TICK, Decision, FairPolicy, Schedule, SimConfig, Simulation, drive, run
-from .model import ExecutionTrace, derive_history
+from .engine import (
+    TICK,
+    Decision,
+    FairPolicy,
+    Schedule,
+    SimConfig,
+    Simulation,
+    UntilDecided,
+    drive,
+    run,
+)
+from .model import ExecutionTrace, Step, derive_history
 from .scenarios import Scenario
 
 DEFAULT_RANDOM_SCHEDULES = 10_000
@@ -54,12 +69,15 @@ class ExplorationResult:
 
 
 class _Collector:
-    def __init__(self):
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario  # derive_history reads only its initials
         self.verdicts: dict[str, Verdict] = {}
         self.violations: dict[str, dict] = {}  # by history, in first-seen order
 
-    def record(self, trace: ExecutionTrace, schedule: Schedule) -> None:
-        history = derive_history(trace)
+    def record(self, steps: list[Step], schedule: Callable[[], Schedule]) -> None:
+        """Count the history of a terminal's steps; schedule() is called only
+        for a violating history seen for the first time."""
+        history = derive_history(ExecutionTrace(steps, scenario=self.scenario))
         key = history.canonical()
         if key not in self.verdicts:
             self.verdicts[key] = check_serializability(history)
@@ -72,7 +90,7 @@ class _Collector:
             self.violations[key] = {
                 "history": key,
                 "witness": verdict.witness,
-                "schedule": schedule.to_json(),
+                "schedule": schedule().to_json(),
                 "schedulesMatching": 1,
             }
 
@@ -115,24 +133,28 @@ _Frame = tuple[list[Decision], int, Simulation | None]
 class _Descent:
     """Policy for the unexplored part of an exhaustive run: take the first
     ordered choice at each new frontier, pushing a frame on the stack, until
-    every transaction has decided or nothing is enabled. A frontier with
-    alternatives is snapshotted before its first choice. Then the fair policy
-    finishes the run: the remaining choices cannot change any response
-    payload, so the tail is determinized."""
+    nothing is enabled. A frontier with alternatives is snapshotted before
+    its first choice. explore_exhaustive wraps it in UntilDecided, so a run
+    stops once every transaction has decided; the fair policy finishes a
+    stopped run only when a reported schedule needs its decisions."""
 
     def __init__(self, stack: list[_Frame]):
         self.stack = stack
-        self.fair: FairPolicy | None = None
 
     def next_decision(self, sim: Simulation) -> Decision | None:
-        if self.fair is None:
-            choices = [] if sim.all_decided() else _next_choices(sim)
-            if choices:
-                ordered = _ordered(choices, len(self.stack))
-                self.stack.append((ordered, 0, sim.clone() if len(ordered) > 1 else None))
-                return ordered[0]
-            self.fair = FairPolicy()
-        return self.fair.next_decision(sim)
+        choices = _next_choices(sim)
+        if not choices:
+            return None
+        ordered = _ordered(choices, len(self.stack))
+        self.stack.append((ordered, 0, sim.clone() if len(ordered) > 1 else None))
+        return ordered[0]
+
+
+def _finished(sim: Simulation) -> Schedule:
+    """Drive a stopped run to quiescence with the fair policy and return its
+    decisions as a replayable schedule."""
+    drive(sim, FairPolicy())
+    return Schedule("scripted", list(sim.decisions_taken), granularity=GRANULARITY, complete=False)
 
 
 def explore_exhaustive(
@@ -142,20 +164,23 @@ def explore_exhaustive(
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
     on_terminal=None,
 ) -> ExplorationResult:
-    collector = _Collector()
+    collector = _Collector(scenario)
     stack: list[_Frame] = []
     runs = 0
     complete = False
     sim = Simulation(config, variant, scenario, granularity=GRANULARITY)
     while runs < bound:
-        drive(sim, _Descent(stack))
+        drive(sim, UntilDecided(_Descent(stack)))
         runs += 1
-        schedule = Schedule(
-            "scripted", list(sim.decisions_taken), granularity=GRANULARITY, complete=False,
-        )
+        # No frame holds the stopped sim (frames hold clones), so the fair
+        # tail may finish it in place; it changes no response, so the
+        # history is the same whether it ran or not.
         if on_terminal is not None:
+            schedule = _finished(sim)
             on_terminal(schedule)
-        collector.record(sim.result().trace, schedule)
+            collector.record(sim.steps, lambda: schedule)
+        else:
+            collector.record(sim.steps, lambda: _finished(sim))
         # Backtrack to the deepest frontier with an untried alternative and
         # take it from that frontier's snapshot: a clone while alternatives
         # remain after it, the snapshot itself for the last one.
@@ -182,11 +207,12 @@ def explore_random(
     n: int = DEFAULT_RANDOM_SCHEDULES,
     seed: int = 0,
 ) -> ExplorationResult:
-    collector = _Collector()
+    collector = _Collector(scenario)
     for i in range(n):
         schedule = Schedule("random", seed=seed + i, granularity=GRANULARITY)
-        collector.record(run(config, variant, scenario, schedule).trace, schedule)
-    return collector.result(n, True, "random")
+        collector.record(run(config, variant, scenario, schedule).trace.steps, lambda: schedule)
+    # Sampling never shows that the space is exhausted.
+    return collector.result(n, False, "random")
 
 
 def explore(

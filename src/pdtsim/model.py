@@ -22,6 +22,8 @@ SEND = "send"
 RECV = "recv"
 CRASH = "crash"
 NOTE = "note"
+STEP_KINDS = (INVOKE, RESPONSE, PRIM, SEND, RECV, CRASH, NOTE)
+_TXN_TYPES = (str, type(None))  # a step's txn: a transaction id, or null
 
 VALUE_LEARNED = "valueLearned"
 
@@ -143,8 +145,18 @@ class Step:
         return rec
 
     @staticmethod
-    def from_json(rec: dict) -> "Step":
+    def from_json(rec: dict, i: int) -> "Step":
+        """The step at position i of its trace, from its wire record."""
         rec = json_object(rec, "trace step")
+        if type(rec.get("i")) is not int or rec["i"] != i:
+            raise MalformedInput(f"trace step {i}: 'i' must be {i}, not {rec.get('i')!r}")
+        if rec.get("kind") not in STEP_KINDS:
+            raise MalformedInput(
+                f"trace step {i}: 'kind' must be one of {', '.join(STEP_KINDS)},"
+                f" not {rec.get('kind')!r}"
+            )
+        if type(rec.get("txn")) not in _TXN_TYPES:
+            raise MalformedInput(f"trace step {i}: 'txn' must be a string or null, not {rec['txn']!r}")
         fields = rec.copy()
         for key in ("i", "kind", "proc", "txn"):
             fields.pop(key, None)
@@ -158,7 +170,7 @@ class Step:
                     raise MalformedInput(
                         f"response field {key!r} must list [item, value] pairs, not {entries!r}"
                     )
-        return Step(rec["i"], rec["kind"], proc, rec.get("txn"), fields)
+        return Step(i, rec["kind"], proc, rec.get("txn"), fields)
 
 
 @dataclass

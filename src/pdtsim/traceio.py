@@ -50,7 +50,7 @@ def read_trace(path: str | Path) -> ExecutionTrace:
         for line in fh:
             line = line.strip()
             if line:
-                steps.append(Step.from_json(json.loads(line)))
+                steps.append(Step.from_json(json.loads(line), len(steps)))
     trace = ExecutionTrace(steps)
     meta_file = meta_path_for(path)
     if meta_file.exists():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from pdtsim import run
 from pdtsim.engine import (
     TIMEOUT,
     Decision,
+    FairPolicy,
     Schedule,
     SimConfig,
     Simulation,
@@ -17,7 +19,7 @@ from pdtsim.engine import (
 )
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim.explore import explore, explore_exhaustive
-from pdtsim.model import ProcessRef, txn_depth
+from pdtsim.model import NOTE, RECV, SEND, ProcessRef, derive_history, txn_depth
 from pdtsim.protocols import VARIANTS, AlgorithmVariant
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
@@ -387,20 +389,24 @@ GOLDEN_MATRIX_JSON_SHA256 = "1128472beb4d787ef60fb2c0e25ea47c093339662a7a18b93ba
 GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
 
 
-def test_golden_exploration_corpus():
+@pytest.fixture(scope="module")
+def golden_explorations():
     """Exhaustive exploration bounded at 300 schedules of every admitted
-    variant on fids, fids-replicated and rfids: the result JSON, and for
-    fids/base the sequence of terminal schedules, must not change by one
-    byte."""
+    variant on fids, fids-replicated and rfids."""
+    return [
+        (scen, variant, explore(scen, variant, mode="exhaustive", max_schedules=300))
+        for scen, variant in admitted_pairs()
+        if scen.name in EXPLORED_SCENARIOS
+    ]
+
+
+def test_golden_exploration_corpus(golden_explorations):
+    """The golden explorations' result JSON, and for fids/base the sequence
+    of terminal schedules, must not change by one byte."""
     digest = hashlib.sha256()
-    runs = 0
-    for scen, variant in admitted_pairs():
-        if scen.name not in EXPLORED_SCENARIOS:
-            continue
-        res = explore(scen, variant, mode="exhaustive", max_schedules=300)
+    for _, _, res in golden_explorations:
         digest.update(dumps_canonical(res.to_json()).encode() + b"\n")
-        runs += 1
-    assert runs == 14
+    assert len(golden_explorations) == 14
     assert digest.hexdigest() == GOLDEN_EXPLORATION_SHA256
 
     scen, order = get_scenario("fids"), hashlib.sha256()
@@ -409,6 +415,52 @@ def test_golden_exploration_corpus():
         on_terminal=lambda sched: order.update(dumps_canonical(sched.to_json()).encode() + b"\n"),
     )
     assert order.hexdigest() == GOLDEN_SCHEDULE_ORDER_SHA256
+
+
+def test_violation_schedules_replay(golden_explorations):
+    """A reported violation's schedule is its whole run, fair tail included:
+    engine.run replays it to the violation's history and leaves nothing in
+    flight and no choice enabled. The golden explorations report no
+    violation within 300 schedules; fids/base reports its one violating
+    history within 4,000."""
+    fids, base = get_scenario("fids"), AlgorithmVariant("base")
+    explorations = golden_explorations + [
+        (fids, base, explore(fids, base, mode="exhaustive", max_schedules=4000)),
+    ]
+    replayed = 0
+    for scen, variant, res in explorations:
+        for v in res.violations:
+            schedule = Schedule.from_json(v["schedule"])
+            result = run(scen.config, variant, scen, schedule)
+            assert derive_history(result.trace).canonical() == v["history"]
+            steps = result.trace.steps
+            sent = {s.msg_id for s in steps if s.kind == SEND}
+            received = {s.msg_id for s in steps if s.kind == RECV}
+            dropped = {s.data["msgId"] for s in steps if s.kind == NOTE and s.tag == "drop"}
+            assert sent == received | dropped
+            # The fair policy finds nothing to add after the script.
+            completed = run(scen.config, variant, scen, replace(schedule, complete=True))
+            assert completed.decisions == result.decisions
+            replayed += 1
+    assert replayed == 1
+
+
+def test_exploration_stops_runs_without_the_fair_tail(monkeypatch):
+    """Without on_terminal, only a first-seen violation drives the fair tail,
+    and fids/no-fast has none in its first 300 schedules."""
+    calls = 0
+    next_decision = FairPolicy.next_decision
+
+    def counted(self, sim):
+        nonlocal calls
+        calls += 1
+        return next_decision(self, sim)
+
+    monkeypatch.setattr(FairPolicy, "next_decision", counted)
+    scen = get_scenario("fids")
+    res = explore_exhaustive(scen.config, AlgorithmVariant("no-fast"), scen, bound=300)
+    assert res.schedules_run == 300 and not res.violations
+    assert calls == 0
 
 
 def test_golden_matrix_report(matrix_report):
