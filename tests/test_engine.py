@@ -387,6 +387,10 @@ GOLDEN_EXPLORATION_SHA256 = "c5a1c7c71d00c82ab772578e2ce486641d347c935862fbff457
 GOLDEN_SCHEDULE_ORDER_SHA256 = "79bad20538f1d9d89adda1b5ad6bf4bde608a9c7cc590197d677c578b9aa6907"
 GOLDEN_MATRIX_JSON_SHA256 = "1128472beb4d787ef60fb2c0e25ea47c093339662a7a18b93ba578e5e13f43ce"
 GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
+# Taken when the exhaustive stack still held frames with snapshots, and each
+# random sample ran to quiescence through engine.run.
+GOLDEN_VIOLATION_EXPLORATION_SHA256 = "e7800743f887f18a20a514ab74ae03c53fe379edd4e62edc03e596ca1fbacfac"
+GOLDEN_RANDOM_EXPLORATION_SHA256 = "98e3a1f7b87348ceb37f44a3ec9d345da4843037cc5a5d80272712b3528d5af1"
 
 
 @pytest.fixture(scope="module")
@@ -398,6 +402,14 @@ def golden_explorations():
         for scen, variant in admitted_pairs()
         if scen.name in EXPLORED_SCENARIOS
     ]
+
+
+@pytest.fixture(scope="module")
+def violation_exploration():
+    """fids/base explored exhaustively to 4,000 schedules, which reaches its
+    one violating history."""
+    fids, base = get_scenario("fids"), AlgorithmVariant("base")
+    return fids, base, explore(fids, base, mode="exhaustive", max_schedules=4000)
 
 
 def test_golden_exploration_corpus(golden_explorations):
@@ -417,16 +429,35 @@ def test_golden_exploration_corpus(golden_explorations):
     assert order.hexdigest() == GOLDEN_SCHEDULE_ORDER_SHA256
 
 
-def test_violation_schedules_replay(golden_explorations):
+def test_golden_violation_exploration(violation_exploration):
+    """The violating history with its witness, schedule and
+    schedulesMatching, byte for byte."""
+    _, _, res = violation_exploration
+    assert len(res.violations) == 1
+    digest = hashlib.sha256(dumps_canonical(res.to_json()).encode()).hexdigest()
+    assert digest == GOLDEN_VIOLATION_EXPLORATION_SHA256
+
+
+def test_golden_random_exploration():
+    """Random mode's result JSON, 50 samples from seed 3, for every admitted
+    variant on fids, fids-replicated and rfids."""
+    digest, pairs = hashlib.sha256(), 0
+    for scen, variant in admitted_pairs():
+        if scen.name in EXPLORED_SCENARIOS:
+            res = explore(scen, variant, mode="random", max_schedules=50, seed=3)
+            digest.update(dumps_canonical(res.to_json()).encode() + b"\n")
+            pairs += 1
+    assert pairs == 14
+    assert digest.hexdigest() == GOLDEN_RANDOM_EXPLORATION_SHA256
+
+
+def test_violation_schedules_replay(golden_explorations, violation_exploration):
     """A reported violation's schedule is its whole run, fair tail included:
     engine.run replays it to the violation's history and leaves nothing in
     flight and no choice enabled. The golden explorations report no
     violation within 300 schedules; fids/base reports its one violating
     history within 4,000."""
-    fids, base = get_scenario("fids"), AlgorithmVariant("base")
-    explorations = golden_explorations + [
-        (fids, base, explore(fids, base, mode="exhaustive", max_schedules=4000)),
-    ]
+    explorations = golden_explorations + [violation_exploration]
     replayed = 0
     for scen, variant, res in explorations:
         for v in res.violations:
