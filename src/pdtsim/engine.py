@@ -183,8 +183,7 @@ class Schedule:
 
     Kinds: "scripted" replays a recorded decision list (optionally completing
     with the fair policy), "random" is a seeded uniform policy, "fair" is the
-    deterministic default policy. A scripted schedule may carry a
-    completion_seed to finish with a seeded policy instead of the fair one.
+    deterministic default policy.
     """
 
     kind: str  # "scripted" | "random" | "fair"
@@ -192,8 +191,7 @@ class Schedule:
     seed: int | None = None
     granularity: str = "exact"  # "exact" | "atomic" (one step runs a handler section)
     tolerant: bool = False  # skip script decisions that are no longer enabled
-    complete: bool = True  # finish with a policy after the script ends
-    completion_seed: int | None = None  # None -> fair completion
+    complete: bool = True  # finish with the fair policy after the script ends
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {"kind": self.kind, "granularity": self.granularity}
@@ -201,8 +199,6 @@ class Schedule:
             d["decisions"] = [x.to_json() for x in self.decisions]
             d["tolerant"] = self.tolerant
             d["complete"] = self.complete
-            if self.completion_seed is not None:
-                d["completionSeed"] = self.completion_seed
         if self.seed is not None:
             d["seed"] = self.seed
         return d
@@ -221,7 +217,6 @@ class Schedule:
             d.get("granularity", "exact"),
             tolerant,
             complete,
-            json_int(d, "completionSeed", "schedule"),
         )
 
 
@@ -509,7 +504,14 @@ class Simulation:
     def step_is_invisible(self, ref: ProcessRef) -> bool:
         """True when the process's next step cannot touch shared memory or
         consume a shared resource: an invocation, a send, a note, or a
-        response. Such steps commute with every other enabled choice."""
+        response. Such steps commute with every other enabled choice.
+
+        At "atomic" granularity a step runs a whole handler section, and
+        this looks only at its first effect. That stays sound because a
+        section that starts with a send, a note or a response runs no
+        primitive: coordinators never touch memory, and node handlers never
+        wait on a receive, so a node handler is one section, and one that
+        touches memory starts with a primitive."""
         proc = self.procs.get(ref)
         if proc is None:
             return False
@@ -763,10 +765,7 @@ class ScriptPolicy:
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self.pos = 0
-        if schedule.completion_seed is not None:
-            self.completion = RandomPolicy(schedule.completion_seed)
-        else:
-            self.completion = FairPolicy()
+        self.completion = FairPolicy()
 
     def next_decision(self, sim: Simulation) -> Decision | None:
         while self.pos < len(self.schedule.decisions):

@@ -13,17 +13,18 @@ sound reductions:
     atomically. Witness schedules carry the granularity, so they replay as
     explored.
 
-Each frontier with more than one choice keeps a snapshot (Simulation.clone)
-of the state before its first choice. A backtrack resumes from a clone of the
-deepest snapshot with an untried alternative, so no schedule re-executes its
-prefix from the initial state. From there the run descends greedily to a new
-terminal: it stops once every transaction has decided, or once nothing is
-enabled. Its steps then hold every coordinator response, so they give the
-terminal's history; the rest of the run could change no response. The fair
-policy drives a stopped run to quiescence only when its decision list is
-needed: for the schedule of a violation seen for the first time, or for
-on_terminal. Frontier orderings rotate with depth so the first descents
-interleave the transactions instead of serializing them.
+The search's stack holds Simulation clones, each an untried alternative
+that has already applied its choice, and the search is complete when the
+stack is empty. A run pops one clone, so no schedule re-executes its prefix
+from the initial state, and descends greedily to a new terminal, pushing a
+clone for each other choice at every frontier on its way. It stops once
+every transaction has decided, or once nothing is enabled. Its steps then
+hold every coordinator response, so they give the terminal's history; the
+rest of the run could change no response. The fair policy drives a stopped
+run to quiescence only when its decision list is needed: for the schedule of
+a violation seen for the first time, or for on_terminal. Frontier orderings
+rotate with depth so the first descents interleave the transactions instead
+of serializing them. Random mode stops each sample at the same point.
 """
 from __future__ import annotations
 
@@ -35,12 +36,11 @@ from .engine import (
     TICK,
     Decision,
     FairPolicy,
+    RandomPolicy,
     Schedule,
-    SimConfig,
     Simulation,
     UntilDecided,
     drive,
-    run,
 )
 from .model import ExecutionTrace, Step, derive_history
 from .scenarios import Scenario
@@ -125,29 +125,28 @@ def _ordered(choices: list[Decision], depth: int) -> list[Decision]:
     return ranked[rot:] + ranked[:rot]
 
 
-# A stack frame: the ordered choices at one frontier, the index taken, and,
-# while an alternative is untried, a snapshot of the state before the choice.
-_Frame = tuple[list[Decision], int, Simulation | None]
-
-
 class _Descent:
-    """Policy for the unexplored part of an exhaustive run: take the first
-    ordered choice at each new frontier, pushing a frame on the stack, until
-    nothing is enabled. A frontier with alternatives is snapshotted before
-    its first choice. explore_exhaustive wraps it in UntilDecided, so a run
-    stops once every transaction has decided; the fair policy finishes a
-    stopped run only when a reported schedule needs its decisions."""
+    """Policy for one exhaustive run: at each frontier take the first ordered
+    choice, and push onto the stack, in reverse order, one clone per other
+    choice that has already applied it. The deepest frontier's next
+    alternative is then on top, so popping the stack gives a depth-first
+    search. explore_exhaustive wraps it in UntilDecided, so a run stops once
+    every transaction has decided; the fair policy finishes a stopped run
+    only when a reported schedule needs its decisions."""
 
-    def __init__(self, stack: list[_Frame]):
+    def __init__(self, stack: list[Simulation]):
         self.stack = stack
 
     def next_decision(self, sim: Simulation) -> Decision | None:
         choices = _next_choices(sim)
         if not choices:
             return None
-        ordered = _ordered(choices, len(self.stack))
-        self.stack.append((ordered, 0, sim.clone() if len(ordered) > 1 else None))
-        return ordered[0]
+        first, *others = _ordered(choices, len(sim.decisions_taken))
+        for choice in reversed(others):
+            alternative = sim.clone()
+            alternative.apply(choice)
+            self.stack.append(alternative)
+        return first
 
 
 def _finished(sim: Simulation) -> Schedule:
@@ -158,50 +157,31 @@ def _finished(sim: Simulation) -> Schedule:
 
 
 def explore_exhaustive(
-    config: SimConfig,
     variant,
     scenario: Scenario,
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
     on_terminal=None,
 ) -> ExplorationResult:
     collector = _Collector(scenario)
-    stack: list[_Frame] = []
+    stack = [Simulation(scenario.config, variant, scenario, granularity=GRANULARITY)]
     runs = 0
-    complete = False
-    sim = Simulation(config, variant, scenario, granularity=GRANULARITY)
-    while runs < bound:
+    while stack and runs < bound:
+        sim = stack.pop()
         drive(sim, UntilDecided(_Descent(stack)))
         runs += 1
-        # No frame holds the stopped sim (frames hold clones), so the fair
-        # tail may finish it in place; it changes no response, so the
-        # history is the same whether it ran or not.
+        # The stack holds only clones, so the fair tail may finish the
+        # stopped sim in place; it changes no response, so the history is
+        # the same whether it ran or not.
         if on_terminal is not None:
             schedule = _finished(sim)
             on_terminal(schedule)
             collector.record(sim.steps, lambda: schedule)
         else:
             collector.record(sim.steps, lambda: _finished(sim))
-        # Backtrack to the deepest frontier with an untried alternative and
-        # take it from that frontier's snapshot: a clone while alternatives
-        # remain after it, the snapshot itself for the last one.
-        while stack and stack[-1][1] + 1 >= len(stack[-1][0]):
-            stack.pop()
-        if not stack:
-            complete = True
-            break
-        choices, idx, snapshot = stack[-1]
-        idx += 1
-        if idx + 1 < len(choices):
-            sim = snapshot.clone()
-        else:
-            sim, snapshot = snapshot, None
-        stack[-1] = (choices, idx, snapshot)
-        sim.apply(choices[idx])
-    return collector.result(runs, complete, "exhaustive")
+    return collector.result(runs, not stack, "exhaustive")
 
 
 def explore_random(
-    config: SimConfig,
     variant,
     scenario: Scenario,
     n: int = DEFAULT_RANDOM_SCHEDULES,
@@ -209,8 +189,10 @@ def explore_random(
 ) -> ExplorationResult:
     collector = _Collector(scenario)
     for i in range(n):
+        sim = Simulation(scenario.config, variant, scenario, granularity=GRANULARITY)
+        drive(sim, UntilDecided(RandomPolicy(seed + i)))
         schedule = Schedule("random", seed=seed + i, granularity=GRANULARITY)
-        collector.record(run(config, variant, scenario, schedule).trace.steps, lambda: schedule)
+        collector.record(sim.steps, lambda: schedule)
     # Sampling never shows that the space is exhausted.
     return collector.result(n, False, "random")
 
@@ -227,8 +209,8 @@ def explore(
         raise ValueError(f"the schedule count (--max) must be at least 1, got {max_schedules}")
     if mode == "exhaustive":
         bound = DEFAULT_EXHAUSTIVE_BOUND if max_schedules is None else max_schedules
-        return explore_exhaustive(scenario.config, variant, scenario, bound=bound)
+        return explore_exhaustive(variant, scenario, bound=bound)
     if mode == "random":
         n = DEFAULT_RANDOM_SCHEDULES if max_schedules is None else max_schedules
-        return explore_random(scenario.config, variant, scenario, n=n, seed=seed)
+        return explore_random(variant, scenario, n=n, seed=seed)
     raise ValueError(f"unknown exploration mode {mode!r}")

@@ -46,6 +46,8 @@ class AlgorithmVariant:
     def __post_init__(self):
         if self.tag not in VARIANTS:
             raise ValueError(f"unknown algorithm variant {self.tag!r}")
+        if self.timeout_ticks is not None and self.timeout_ticks < 1:
+            raise ValueError(f"timeoutTicks must be at least 1, got {self.timeout_ticks}")
 
     def to_json(self) -> dict:
         return {"tag": self.tag, "timeoutTicks": self.timeout_ticks}

@@ -10,6 +10,7 @@ from pdtsim.engine import (
     TIMEOUT,
     Decision,
     FairPolicy,
+    RandomPolicy,
     Schedule,
     SimConfig,
     Simulation,
@@ -19,7 +20,7 @@ from pdtsim.engine import (
 )
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim.explore import explore, explore_exhaustive
-from pdtsim.model import NOTE, RECV, SEND, ProcessRef, derive_history, txn_depth
+from pdtsim.model import NOTE, PRIM, RECV, SEND, ProcessRef, derive_history, txn_depth
 from pdtsim.protocols import VARIANTS, AlgorithmVariant
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
@@ -235,21 +236,25 @@ def _reference_overdue(sim):
     return out
 
 
+def _check_enumeration(sim):
+    """Compare the engine's indexed enumeration with the scanning reference."""
+    assert sim.enabled_choices() == _reference_choices(sim)
+    assert sim.overdue_deliveries() == _reference_overdue(sim)
+    for c in range(sim.config.n_clients):
+        ref = ProcessRef.client(c)
+        fresh = sum(1 for m in sim.inflight.values() if m.dst == ("client", c))
+        assert sim.procs[ref].inbound == fresh
+
+
 class _CheckedPolicy:
-    """Wraps a policy; before every decision, compares the engine's indexed
-    enumeration with the scanning reference."""
+    """Wraps a policy; checks the enumeration before every decision."""
 
     def __init__(self, policy):
         self.policy = policy
         self.checked = 0
 
     def next_decision(self, sim):
-        assert sim.enabled_choices() == _reference_choices(sim)
-        assert sim.overdue_deliveries() == _reference_overdue(sim)
-        for c in range(sim.config.n_clients):
-            ref = ProcessRef.client(c)
-            fresh = sum(1 for m in sim.inflight.values() if m.dst == ("client", c))
-            assert sim.procs[ref].inbound == fresh
+        _check_enumeration(sim)
         self.checked += 1
         return self.policy.next_decision(sim)
 
@@ -282,14 +287,16 @@ def test_enabled_choices_match_scanning_reference():
         variant = AlgorithmVariant(tag)
         for seed in range(4):
             _checked_run(scen, variant, Schedule("random", seed=seed))
+        # Half the fair run, a crash, then a seeded completion.
         fair = run(scen.config, variant, scen, Schedule("fair"))
-        half = len(fair.decisions) // 2
-        crashed = Schedule(
-            "scripted", list(fair.decisions[:half]) + [Decision("crash", node=2)],
-            tolerant=True, completion_seed=7,
-        )
-        res = _checked_run(scen, variant, crashed)
-        assert any(s.kind == "crash" for s in res.trace.steps)
+        sim = Simulation(scen.config, variant, scen)
+        for d in fair.decisions[:len(fair.decisions) // 2] + [Decision("crash", node=2)]:
+            _check_enumeration(sim)
+            sim.apply(d)
+        policy = _CheckedPolicy(RandomPolicy(7))
+        drive(sim, policy)
+        assert policy.checked > 0
+        assert any(s.kind == "crash" for s in sim.steps)
 
 
 # SHA-256 over the canonical step JSON of the corpus below, taken before the
@@ -423,7 +430,7 @@ def test_golden_exploration_corpus(golden_explorations):
 
     scen, order = get_scenario("fids"), hashlib.sha256()
     explore_exhaustive(
-        scen.config, AlgorithmVariant("base"), scen, bound=300,
+        AlgorithmVariant("base"), scen, bound=300,
         on_terminal=lambda sched: order.update(dumps_canonical(sched.to_json()).encode() + b"\n"),
     )
     assert order.hexdigest() == GOLDEN_SCHEDULE_ORDER_SHA256
@@ -489,9 +496,29 @@ def test_exploration_stops_runs_without_the_fair_tail(monkeypatch):
 
     monkeypatch.setattr(FairPolicy, "next_decision", counted)
     scen = get_scenario("fids")
-    res = explore_exhaustive(scen.config, AlgorithmVariant("no-fast"), scen, bound=300)
+    res = explore_exhaustive(AlgorithmVariant("no-fast"), scen, bound=300)
     assert res.schedules_run == 300 and not res.violations
     assert calls == 0
+
+
+def test_invisible_atomic_steps_run_no_primitive():
+    """step_is_invisible reads only a section's first effect, so the
+    explorer's eager firing is sound only if an atomic section that starts
+    with a send, a note or a response runs no primitive. Random atomic runs
+    of every builtin scenario x admitted variant, seeds 0-4."""
+    invisible = 0
+    for scen, variant in admitted_pairs():
+        for seed in range(5):
+            sim = Simulation(scen.config, variant, scen, granularity="atomic")
+            policy = RandomPolicy(seed)
+            while (d := policy.next_decision(sim)) is not None:
+                checked = d.t == "step" and sim.step_is_invisible(d.proc)
+                start = len(sim.steps)
+                sim.apply(d)
+                if checked:
+                    assert all(s.kind != PRIM for s in sim.steps[start:]), (scen.name, variant.tag, seed)
+                    invisible += 1
+    assert invisible > 0
 
 
 def test_golden_matrix_report(matrix_report):

@@ -157,11 +157,23 @@ def test_no_ddap_fids_contends_on_global_lock():
     assert GLOBAL_LOCK in objs
 
 
-def test_exploration_visits_each_interleaving_once(base):
+def test_exploration_visits_each_interleaving_once(base, monkeypatch):
     # A scenario small enough to exhaust: the frontier is swept completely
-    # and no decision sequence repeats.
+    # and no decision sequence repeats. Each untried alternative costs one
+    # clone, so a complete search clones once per schedule after the first.
     from conftest import make_scenario
+    from pdtsim.engine import Simulation
     from pdtsim.explore import explore_exhaustive
+
+    clones = 0
+    clone = Simulation.clone
+
+    def counted(self):
+        nonlocal clones
+        clones += 1
+        return clone(self)
+
+    monkeypatch.setattr(Simulation, "clone", counted)
 
     scen = make_scenario(
         {"X": None}, {"X": [0]}, 1, 0,
@@ -170,12 +182,13 @@ def test_exploration_visits_each_interleaving_once(base):
     )
     seen = []
     res = explore_exhaustive(
-        scen.config, base, scen, bound=100000,
+        base, scen, bound=100000,
         on_terminal=lambda sched: seen.append(json.dumps(sched.to_json(), sort_keys=True)),
     )
     assert res.complete
     assert res.schedules_run == len(seen) == len(set(seen))
     assert res.schedules_run > 1
+    assert clones == res.schedules_run - 1
 
 
 def test_cli_matrix(matrix_report):
@@ -353,6 +366,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("sidecar", [1]),
     ("algorithm", ["base"]),
     ("algorithm", {"tag": "no-seamless", "timeoutTicks": "x"}),
+    ("algorithm", {"tag": "no-seamless", "timeoutTicks": 0}),
     ("step", {"i": "x"}),
     ("step", {"i": 7}),
     ("step", {"kind": "bogus"}),
@@ -363,7 +377,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
         "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
-        "timeout-str", "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int"])
+        "timeout-str", "timeout-zero", "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document) + "\n")

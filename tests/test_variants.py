@@ -148,6 +148,15 @@ def test_no_seamless_timeout_exceeds_delta():
     assert env.timeout_ticks > scen.config.delta
 
 
+def test_no_seamless_timeout_below_one_is_rejected():
+    # 0 once fell back to 4*delta without the check above; a negative value
+    # on an asynchronous scenario made every armed timer already expired.
+    for ticks in (0, -5):
+        with pytest.raises(ValueError, match="timeoutTicks"):
+            AlgorithmVariant("no-seamless", timeout_ticks=ticks)
+    assert AlgorithmVariant("no-seamless", timeout_ticks=1).timeout_ticks == 1
+
+
 # ---------------------------------------------------------------------------
 # no-ddap: one long lock per node
 # ---------------------------------------------------------------------------
