@@ -40,7 +40,7 @@ from pdtsim.scenarios import (
     scenario_solo,
     rfids_schedule,
 )
-from pdtsim.traceio import dumps_canonical
+from pdtsim.traceio import dumps_canonical, read_trace, write_run
 
 from conftest import admitted_pairs, make_scenario
 from test_oracle import legal_order, oracle_serializable
@@ -439,6 +439,7 @@ def test_seamless_ft_witness_after_a_prefix_replays():
 # the seamless-ft sweep replayed every crash injection from the initial state.
 GOLDEN_COUNTEREXAMPLE_SHA256 = "79d171cfe2de21e87f6d9623a3b43afcb333a5921315288ccea87e931c9a2f1c"
 GOLDEN_SEAMLESS_FT_SHA256 = "7a03491bda569bf877492301a37441bf36dc1a2786082d9a822ded9bfa4b1247"
+GOLDEN_VERDICTS_SHA256 = "49c3cc4ccb862885360caa9cf5687cd1a544a918780878abe89353c43c691be2"
 
 
 def test_golden_counterexample_schedules():
@@ -481,6 +482,34 @@ def test_golden_seamless_ft_sweeps():
         digest.update(f"{scen.name} {variant.tag} s={s}\n{text}\n".encode())
     assert len(runs) == 12
     assert digest.hexdigest() == GOLDEN_SEAMLESS_FT_SHA256
+
+
+def test_golden_checker_verdicts(tmp_path):
+    """Every checker's verdict and the invariant suite's outcome on every
+    admitted pair under fair and random:1, each run written and read back
+    through its sidecar. seamless-ft only on the solo runs under fair: its
+    sweeps over the contended runs are slow."""
+    digest, verdicts = hashlib.sha256(), 0
+    for scen, variant in admitted_pairs():
+        for spec, sched in (("fair", Schedule("fair")), ("random:1", Schedule("random", seed=1))):
+            path = tmp_path / f"{scen.name}-{variant.tag}-{spec.replace(':', '')}.jsonl"
+            write_run(run(scen.config, variant, scen, sched), path)
+            trace = read_trace(path)
+            digest.update(f"{scen.name} {variant.tag} {spec}\n".encode())
+            for prop, checker in CHECKERS_BY_NAME.items():
+                if prop == "seamless-ft" and not (scen.name.startswith("solo-r") and spec == "fair"):
+                    continue
+                text = json.dumps(checker(trace).to_json(), sort_keys=True)
+                digest.update(f"{prop} {text}\n".encode())
+                verdicts += 1
+            try:
+                verify_trace_invariants(trace)
+                outcome = "ok"
+            except InvariantViolation as e:
+                outcome = str(e)
+            digest.update(f"invariants {outcome}\n".encode())
+    assert verdicts == 724
+    assert digest.hexdigest() == GOLDEN_VERDICTS_SHA256
 
 
 # ---------------------------------------------------------------------------
