@@ -287,8 +287,8 @@ def check_strong_ir(trace: ExecutionTrace) -> Verdict:
     if not weak.passed:
         return Verdict("strong-ir", False, witness=weak.witness,
                        details={"reason": "weak invisible reads violated"})
-    if trace.scenario is None or trace.config is None or trace.algorithm is None:
-        raise ScheduleIncompatible("strong-ir needs the trace's scenario/config/algorithm refs")
+    if trace.scenario is None or trace.algorithm is None:
+        raise ScheduleIncompatible("strong-ir needs the trace's scenario/algorithm refs")
 
     checked = []
     for prog in trace.scenario.transactions:
@@ -307,7 +307,7 @@ def check_strong_ir(trace: ExecutionTrace) -> Verdict:
             trace.scenario,
             transactions=[twin_prog if p.txn_id == txn else p for p in trace.scenario.transactions],
         )
-        twin_res = engine.run(trace.config, trace.algorithm, twin_scenario, schedule)
+        twin_res = engine.run(trace.scenario.config, trace.algorithm, twin_scenario, schedule)
         orig_fp = _nontrivial_footprint(trace, txn)
         twin_fp = _nontrivial_footprint(twin_res.trace, txn)
         if orig_fp != twin_fp:
@@ -654,7 +654,7 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
     cur_seq: dict[tuple[int, str], int] = {}
     cur_val: dict[tuple[int, str], Any] = {}
     if trace.scenario is not None:
-        for node in range(trace.config.n_nodes if trace.config else 0):
+        for node in range(trace.scenario.config.n_nodes):
             for item in trace.scenario.local_items(node):
                 cur_seq[(node, item)] = 0
                 cur_val[(node, item)] = trace.scenario.placement.initials[item]
@@ -719,7 +719,7 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
 
 def _check_seamless_ft_of_trace(trace: ExecutionTrace, s: int = 1) -> Verdict:
     return check_seamless_ft(
-        trace.config, trace.algorithm, trace.scenario, Schedule.from_json(trace.schedule), s=s,
+        trace.scenario.config, trace.algorithm, trace.scenario, Schedule.from_json(trace.schedule), s=s,
     )
 
 
@@ -741,8 +741,8 @@ PROPERTIES = tuple(CHECKERS_BY_NAME)
 
 # Trace refs a property reads from the .meta.json sidecar.
 SIDECAR_REFS: dict[str, tuple[str, ...]] = {
-    "strong-ir": ("scenario", "config", "algorithm"),
+    "strong-ir": ("scenario", "algorithm"),
     "dap": ("scenario",),
     "ddap": ("scenario",),
-    "seamless-ft": ("scenario", "config", "schedule"),
+    "seamless-ft": ("scenario", "schedule"),
 }

@@ -128,7 +128,6 @@ class Message:
     dst: tuple
     payload: dict
     sent_tick: int
-    sent_step: int
     deliver: "Decision"  # the one delivery decision for this message
 
 
@@ -309,6 +308,10 @@ class RunResult:
 class Simulation:
     """One deterministic run; construct one per run, or clone() one.
 
+    Its processes are built in one list: the clients by index, then each
+    node's processes by index. That is ProcessRef.sort_key's order, in which
+    steps are enumerated, and `_set_procs` indexes the list by position.
+
     A clone shares only what no run mutates: the config, variant, scenario
     and ProtocolEnv, and the Steps, Messages, Decisions and effects already
     created. Everything a run changes is copied.
@@ -329,17 +332,11 @@ class Simulation:
             i: NodeMemory(i, scenario.local_items(i), scenario.placement.initials)
             for i in range(config.n_nodes)
         }
-        # Built once per run: clients by index, each node's processes by
-        # index, and every process in the order choices are enumerated.
-        self._clients = [_Proc(ProcessRef.client(c)) for c in range(config.n_clients)]
-        self._node_procs = [
-            [_Proc(ProcessRef.node_proc(n, p)) for p in range(config.procs_per_node)]
-            for n in range(config.n_nodes)
-        ]
-        self.procs: dict[ProcessRef, _Proc] = {
-            p.ref: p for p in self._clients + [p for ps in self._node_procs for p in ps]
-        }
-        self.ordered_procs = sorted(self.procs.values(), key=lambda p: p.ref.sort_key())
+        self._set_procs(
+            [_Proc(ProcessRef.client(c)) for c in range(config.n_clients)]
+            + [_Proc(ProcessRef.node_proc(n, p))
+               for n in range(config.n_nodes) for p in range(config.procs_per_node)]
+        )
         self._crash_choices = [Decision("crash", node=n) for n in range(config.n_nodes)]
         for prog in scenario.transactions:
             ref = ProcessRef.client(prog.client)
@@ -353,7 +350,6 @@ class Simulation:
         self.crashed: set[int] = set()
         self.tick = 0
         self.next_msg_id = 0
-        self.crashes_used = 0
         self.max_delivery_lag = 0
         self.decisions_taken: list[Decision] = []
         self.decided_count = 0
@@ -364,16 +360,21 @@ class Simulation:
         sim = Simulation.__new__(Simulation)
         sim.__dict__.update(self.__dict__)  # shared parts and int counters
         sim.memories = {i: m.clone() for i, m in self.memories.items()}
-        procs = {ref: p.clone(self.env) for ref, p in self.procs.items()}
-        sim.procs = procs
-        sim._clients = [procs[p.ref] for p in self._clients]
-        sim._node_procs = [[procs[p.ref] for p in ps] for ps in self._node_procs]
-        sim.ordered_procs = [procs[p.ref] for p in self.ordered_procs]
+        sim._set_procs([p.clone(self.env) for p in self.procs.values()])
         sim.steps = list(self.steps)
         sim.inflight = dict(self.inflight)
         sim.crashed = set(self.crashed)
         sim.decisions_taken = list(self.decisions_taken)
         return sim
+
+    def _set_procs(self, procs: list[_Proc]) -> None:
+        """Index the build-order process list: by ref, clients by index, and
+        each node's processes by index."""
+        self.procs: dict[ProcessRef, _Proc] = {p.ref: p for p in procs}
+        per_node = self.config.procs_per_node
+        first = len(procs) - self.config.n_nodes * per_node  # the first node process
+        self._clients = procs[:first]
+        self._node_procs = [procs[i:i + per_node] for i in range(first, len(procs), per_node)]
 
     # -- trace recording ---------------------------------------------------
 
@@ -423,10 +424,8 @@ class Simulation:
             return
         if isinstance(eff, SendMsg):
             mid = self.next_msg_id
-            msg = Message(
-                mid, h.txn, proc.ref, eff.dst, eff.payload, self.tick, len(self.steps),
-                Decision("deliver", msg=mid),
-            )
+            msg = Message(mid, h.txn, proc.ref, eff.dst, eff.payload, self.tick,
+                          Decision("deliver", msg=mid))
             self.next_msg_id += 1
             if eff.dst[0] == "client":
                 self._clients[eff.dst[1]].inbound += 1
@@ -493,11 +492,11 @@ class Simulation:
     def enabled_choices(self) -> list[Decision]:
         """Exactly: next steps of non-idle processes, deliveries to live
         destinations, and crash decisions while the budget lasts."""
-        out = [p.step for p in self.ordered_procs if self._steppable(p)]
+        out = [p.step for p in self.procs.values() if self._steppable(p)]
         # Message ids only grow and entries are only ever deleted, so the
         # dict's insertion order is msg-id order.
         out += [m.deliver for m in self.inflight.values() if self._deliverable(m)]
-        if self.crashes_used < self.scenario.crash_budget:
+        if len(self.crashed) < self.scenario.crash_budget:
             out += [d for d in self._crash_choices if d.node not in self.crashed]
         return out
 
@@ -568,7 +567,7 @@ class Simulation:
                 d.node is not None
                 and 0 <= d.node < self.config.n_nodes
                 and d.node not in self.crashed
-                and self.crashes_used < self.scenario.crash_budget
+                and len(self.crashed) < self.scenario.crash_budget
             )
         return False
 
@@ -617,8 +616,7 @@ class Simulation:
             raise ScheduleStuck(f"deliver of unknown/delivered message {d.msg}")
         kind, target = msg.dst
         if kind == "node" and target in self.crashed:
-            del self.inflight[msg.msg_id]
-            self._log(NOTE, None, msg.txn, tag="drop", data={"msgId": msg.msg_id, "node": target})
+            self._drop(msg)
             return
         self.max_delivery_lag = max(self.max_delivery_lag, self.tick - msg.sent_tick)
         del self.inflight[msg.msg_id]
@@ -657,11 +655,10 @@ class Simulation:
     def _apply_crash(self, node: int) -> None:
         if node in self.crashed:
             raise AlreadyCrashed(f"node {node} already crashed")
-        if self.crashes_used >= self.scenario.crash_budget:
+        if len(self.crashed) >= self.scenario.crash_budget:
             raise ScheduleStuck(
                 f"crash budget f={self.scenario.crash_budget} exhausted"
             )
-        self.crashes_used += 1
         self.crashed.add(node)
         self._log(CRASH, None, None, node=node)
         for proc in self._node_procs[node]:
@@ -670,13 +667,16 @@ class Simulation:
                     proc.handler.gen.close()
                 proc.handler = None
 
+    def _drop(self, msg: Message) -> None:
+        """Remove a message addressed to a crashed node, with its drop note."""
+        del self.inflight[msg.msg_id]
+        self._log(NOTE, None, msg.txn, tag="drop", data={"msgId": msg.msg_id, "node": msg.dst[1]})
+
     def finish(self) -> None:
         """Flush drop notes for undeliverable messages to crashed nodes."""
-        for mid in sorted(self.inflight):
-            msg = self.inflight[mid]
+        for msg in list(self.inflight.values()):
             if msg.dst[0] == "node" and msg.dst[1] in self.crashed:
-                del self.inflight[mid]
-                self._log(NOTE, None, msg.txn, tag="drop", data={"msgId": mid, "node": msg.dst[1]})
+                self._drop(msg)
 
     def all_decided(self) -> bool:
         return self.decided_count >= len(self.scenario.transactions)
@@ -687,7 +687,6 @@ class Simulation:
             scenario=self.scenario,
             algorithm=self.variant,
             schedule=schedule_json,
-            config=self.config,
         )
         return RunResult(
             trace,
@@ -704,34 +703,9 @@ class Simulation:
 
 class FairPolicy:
     """Default deterministic scheduler: overdue deliveries first, then local
-    handler work, then the oldest message, ticking only to fire timers.
-    Delivery follows send order, so surviving messages keep their relative
-    order across re-runs."""
-
-    def next_decision(self, sim: Simulation) -> Decision | None:
-        overdue = sim.overdue_deliveries()
-        if overdue:
-            return overdue[0]
-        choices = sim.enabled_choices()
-        steps = [c for c in choices if c.t == "step"]
-        if steps:
-            return steps[0]
-        delivers = [c for c in choices if c.t == "deliver"]
-        if delivers:
-            # Choices list messages in msg-id order, and a later id never has
-            # an earlier sent tick, so the first is the oldest.
-            return delivers[0]
-        if sim.has_armed_timer():
-            return TICK
-        return None
-
-
-class RandomPolicy:
-    """Seeded uniform choice over enabled steps/deliveries (never crashes),
-    still honoring the post-GST delivery bound."""
-
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
+    handler work, then the oldest message, ticking only to fire timers; it
+    never crashes a node. Delivery follows send order, so surviving messages
+    keep their relative order across re-runs."""
 
     def next_decision(self, sim: Simulation) -> Decision | None:
         overdue = sim.overdue_deliveries()
@@ -739,10 +713,27 @@ class RandomPolicy:
             return overdue[0]
         choices = [c for c in sim.enabled_choices() if c.t != "crash"]
         if choices:
-            return choices[self.rng.randrange(len(choices))]
+            return self.pick(choices)
         if sim.has_armed_timer():
             return TICK
         return None
+
+    def pick(self, choices: list[Decision]) -> Decision:
+        # Choices list steps before deliveries, and messages in msg-id
+        # order; a later id never has an earlier sent tick, so the first
+        # choice is a step if any, else the oldest message.
+        return choices[0]
+
+
+class RandomPolicy(FairPolicy):
+    """The fair policy with a seeded uniform pick among its choices: still
+    overdue deliveries first (the post-GST delivery bound), never a crash."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def pick(self, choices: list[Decision]) -> Decision:
+        return choices[self.rng.randrange(len(choices))]
 
 
 class UntilDecided:

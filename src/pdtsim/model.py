@@ -243,6 +243,9 @@ class DataPlacement:
     f: int
 
     def __post_init__(self):
+        for item in self.initials:
+            if item not in self.groups:
+                raise PlacementError(f"item {item!r} has no replica group")
         for item, nodes in self.groups.items():
             if item not in self.initials:
                 raise PlacementError(f"placement for unknown item {item!r}")
@@ -250,6 +253,9 @@ class DataPlacement:
                 raise PlacementError(
                     f"item {item!r} has {len(nodes)} replicas, expected k={self.k}"
                 )
+            if len(set(nodes)) != len(nodes):
+                # A quorum would count the repeated node twice.
+                raise PlacementError(f"item {item!r} names a replica node twice: {list(nodes)}")
         if self.f < 0 or self.k < 1:
             raise PlacementError(f"bad replication parameters k={self.k} f={self.f}")
         if self.f >= 1 and 2 * (self.k - self.f) <= self.k:
@@ -298,7 +304,6 @@ class ExecutionTrace:
     scenario: Any = None  # scenarios.Scenario; loose-typed to avoid an import cycle
     algorithm: Any = None  # protocols.AlgorithmVariant
     schedule: Any = None  # json-able schedule spec
-    config: Any = None  # engine.SimConfig
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 from .engine import (
     ASYNC_GST,
     Decision,
-    RunResult,
     Schedule,
     SimConfig,
     Simulation,
@@ -259,7 +258,7 @@ def build_counterexample_schedule(
     txn_order: list[str],
     validate_order: dict[int, list[str]],
     blocked: Iterable[tuple[str, int]] = (),
-) -> tuple[Schedule, RunResult]:
+) -> Schedule:
     """Drive the two-phase adversarial construction and record it as a script.
 
     Phase 1 runs every transaction, withholding the quorum-completing read
@@ -294,7 +293,7 @@ def build_counterexample_schedule(
 
     def run_nodes() -> Iterator[Decision]:
         # Every node process with work steps once per round, until none has.
-        nodes = [p for p in sim.ordered_procs if p.ref.kind == "node"]
+        nodes = [p for p in sim.procs.values() if p.ref.kind == "node"]
         while work := [p.step for p in nodes if sim._steppable(p)]:
             yield from work
 
@@ -350,31 +349,28 @@ def build_counterexample_schedule(
                 yield deliver(msg)
 
     drive(sim, _Yielded(phases()))
-    schedule = Schedule("scripted", list(sim.decisions_taken), granularity="exact")
-    return schedule, sim.result(schedule.to_json())
+    return Schedule("scripted", list(sim.decisions_taken), granularity="exact")
 
 
 def fids_schedule(variant, scenario: Scenario | None = None) -> Schedule:
     scenario = scenario or scenario_fids()
-    schedule, _ = build_counterexample_schedule(
+    return build_counterexample_schedule(
         scenario.config, variant, scenario,
         txn_order=["t1", "t2"],
         validate_order={0: ["t1", "t2"], 1: ["t2", "t1"]},
     )
-    return schedule
 
 
 def rfids_schedule(variant, scenario: Scenario | None = None) -> Schedule:
     # Node i never talks to t_{i+1}'s handlers; write order per node follows
     # the replicated-cycle construction.
     scenario = scenario or scenario_rfids()
-    schedule, _ = build_counterexample_schedule(
+    return build_counterexample_schedule(
         scenario.config, variant, scenario,
         txn_order=["t1", "t2", "t3"],
         validate_order={0: ["t2", "t3"], 1: ["t3", "t1"], 2: ["t1", "t2"]},
         blocked={("t1", 0), ("t2", 1), ("t3", 2)},
     )
-    return schedule
 
 
 def crash_injected_solo_schedule(node: int) -> Schedule:

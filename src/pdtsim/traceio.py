@@ -2,15 +2,17 @@
 
 The .jsonl file holds exactly one step record per line (UTF-8, LF). Replay-
 based checkers need to know what produced a trace, so `write_run` also emits
-`<out>.meta.json` carrying the scenario, algorithm, schedule, and config.
-Both files are byte-deterministic for identical runs.
+`<out>.meta.json` carrying the scenario (its `sim` section is the run's
+SimConfig), the algorithm and the schedule. `read_trace` ignores any other
+key, such as the `config` copy that older sidecars carry. Both files are
+byte-deterministic for identical runs.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-from .engine import RunResult, SimConfig
+from .engine import RunResult
 from .model import ExecutionTrace, Step, json_object
 from .protocols import AlgorithmVariant
 from .scenarios import Scenario
@@ -36,7 +38,6 @@ def write_run(result: RunResult, path: str | Path) -> None:
         "scenario": trace.scenario.to_json() if trace.scenario else None,
         "algorithm": trace.algorithm.to_json() if trace.algorithm else None,
         "schedule": trace.schedule,
-        "config": trace.config.to_json() if trace.config else None,
     }
     meta_path_for(path).write_text(
         json.dumps(meta, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
@@ -60,6 +61,4 @@ def read_trace(path: str | Path) -> ExecutionTrace:
         if meta.get("algorithm"):
             trace.algorithm = AlgorithmVariant.from_json(meta["algorithm"])
         trace.schedule = meta.get("schedule")
-        if meta.get("config"):
-            trace.config = SimConfig.from_json(meta["config"])
     return trace

@@ -527,6 +527,14 @@ def test_invariants_hold_on_generated_traces(base):
         verify_trace_invariants(trace)
 
 
+def test_invariants_read_the_node_count_from_the_scenario(base):
+    # A trace built from its steps and scenario alone: the read-atomicity
+    # clause takes the node count from the scenario's config.
+    scen = get_scenario("solo-r1")
+    steps = run(scen.config, base, scen, Schedule("fair")).trace.steps
+    verify_trace_invariants(ExecutionTrace(steps, scenario=scen))
+
+
 def _recorded(name: str) -> ExecutionTrace:
     """A fair base-variant trace of one of the scenarios the edits below use."""
     base = AlgorithmVariant("base")
@@ -554,7 +562,7 @@ def _edited(name: str, edit) -> ExecutionTrace:
     edit(steps)
     for i, s in enumerate(steps):
         s.i = i
-    return ExecutionTrace(steps, trace.scenario, trace.algorithm, trace.schedule, trace.config)
+    return ExecutionTrace(steps, trace.scenario, trace.algorithm, trace.schedule)
 
 
 def _nth(steps, pred, n=0) -> int:

@@ -221,7 +221,7 @@ def _reference_choices(sim):
         for mid in sorted(sim.inflight)
         if _reference_deliverable(sim, sim.inflight[mid])
     ]
-    if sim.crashes_used < sim.scenario.crash_budget:
+    if len(sim.crashed) < sim.scenario.crash_budget:
         out += [Decision("crash", node=n) for n in range(sim.config.n_nodes) if n not in sim.crashed]
     return out
 

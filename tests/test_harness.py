@@ -228,7 +228,31 @@ def test_trace_io_roundtrip(tmp_path, base):
     assert [s.to_json() for s in loaded.steps] == [s.to_json() for s in res.trace.steps]
     assert loaded.scenario.name == "solo-r1"
     assert loaded.algorithm.tag == "base"
-    assert loaded.config == scen.config
+    assert loaded.scenario.config == scen.config
+
+
+def test_cli_check_ignores_an_old_sidecar_config(tmp_path, capsys):
+    # Older sidecars carry a copy of the scenario's sim section as "config".
+    # The replay checkers read the scenario's, so the copy changes nothing.
+    out = tmp_path / "t.jsonl"
+    assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    sidecar = Path(str(out) + ".meta.json")
+    meta = json.loads(sidecar.read_text())
+    assert "config" not in meta
+
+    def checked() -> list:
+        results = []
+        for prop in ("strong-ir", "seamless-ft"):
+            code = main(["check", "--trace", str(out), "--property", prop])
+            results.append((code, capsys.readouterr().out))
+        return results
+
+    new = checked()
+    sidecar.write_text(json.dumps({**meta, "config": meta["scenario"]["sim"]}))
+    assert checked() == new
+    assert [code for code, _ in new] == [0, 0]
 
 
 def test_cli_run_and_check(tmp_path, capsys):
@@ -355,6 +379,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("scenario", {**_SCENARIO, "placement": [1]}),
     ("scenario", {**_SCENARIO, "k": "1"}),
     ("scenario", {**_SCENARIO, "sim": {"delta": "64"}}),
+    ("scenario", {**_SCENARIO, "placement": {"X": [0, 0, 1]}, "k": 3, "f": 1}),
     ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "client": "0"}]}),
     ("scenario", {**_SCENARIO, "transactions": [{**_SCENARIO["transactions"][0], "writeRule": [
         {"target": "X", "condition": "sometimes", "value": "v"}]}]}),
@@ -374,7 +399,8 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "complete-str",
         "tolerant-str", "scenario-list",
-        "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str", "client-str",
+        "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
+        "placement-node-twice", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
         "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
         "timeout-str", "timeout-zero", "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int"])
@@ -430,6 +456,26 @@ def test_cli_malformed_input_baseline_runs(tmp_path):
                  "--out", str(tmp_path / "x.jsonl")]) == 0
 
 
+@pytest.mark.parametrize("placement, error", [
+    # Node 0's two replies would meet X's k-f=2 quorum on their own.
+    ({"X": [0, 0, 1], "Y": [0, 1, 2]}, "item 'X' names a replica node twice: [0, 0, 1]"),
+    # t1 reads Y, which no node holds.
+    ({"X": [0, 1, 2]}, "item 'Y' has no replica group"),
+], ids=["node-twice", "no-group"])
+def test_cli_run_rejects_bad_replica_group(tmp_path, capsys, placement, error):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "items": [{"id": "X", "initial": None}, {"id": "Y", "initial": None}],
+        "placement": placement, "k": 3, "f": 1,
+        "transactions": [{"txnId": "t1", "client": 0, "readSet": ["Y"],
+                          "writeRule": [{"target": "X", "condition": "always", "value": "v"}]}],
+    }))
+    assert main(["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_scenario_partial_sim_section_keeps_defaults(tmp_path, capsys):
     # A "sim" section overrides only the keys it gives; an old file's "seed"
     # is ignored like any other unknown key.
@@ -441,7 +487,7 @@ def test_scenario_partial_sim_section_keeps_defaults(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("t1: commit\n")
     meta = json.loads(Path(str(out) + ".meta.json").read_text())
     expected = {"nNodes": 2, "procsPerNode": 1, "nClients": 1, "delta": 32, "gst": 0}
-    assert meta["config"] == expected
+    assert "config" not in meta
     assert meta["scenario"]["sim"] == expected
 
 

@@ -1,6 +1,6 @@
-"""Source hygiene of the package: no unused imports and no unreferenced
-private module-level functions or classes, so a deletion leaves no
-stragglers behind."""
+"""Source hygiene of the package: no unused imports, no unreferenced
+private module-level functions or classes, and no class field that nothing
+reads, so a deletion leaves no stragglers behind."""
 from __future__ import annotations
 
 import ast
@@ -62,3 +62,22 @@ def test_no_unreferenced_private_definitions():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def test_no_unread_class_fields():
+    """Every annotated field of a class in the package is loaded as an
+    attribute somewhere in the package or its tests."""
+    sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    loaded = {
+        node.attr for path in sources for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{field.lineno} {cls.name}.{field.target.id}"
+        for path in MODULES
+        for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef)
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in loaded
+    ]
+    assert unread == []
