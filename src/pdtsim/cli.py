@@ -87,7 +87,10 @@ def _cmd_explore(args) -> int:
     )
     payload = json.dumps(result.to_json(), sort_keys=True, indent=2, ensure_ascii=False)
     Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    print(f"{result.schedules_run} schedules, {len(result.violations)} violation(s), "
+    extent = "complete" if result.complete else "bounded"
+    states = "" if result.states is None else f", {result.states} states"
+    print(f"{extent} {result.mode} exploration: {result.schedules_run} runs{states}, "
+          f"{len(result.violations)} violation(s), "
           f"{len(result.terminal_histories)} distinct histories -> {args.out}")
     return 0
 

@@ -8,8 +8,12 @@ gst are measured in ticks.
 
 A handler is a deterministic function of its arguments and of the values sent
 into it. Simulation.clone relies on this: generators cannot be copied, so a
-clone re-creates each live handler from its factory call and re-sends the
-values the original received.
+clone keeps each live handler's origin and the values sent into it, and
+re-creates the generator from its factory call, re-sending those values, only
+when the clone first resumes that handler. A clone that is dropped, or that
+never touches a handler, re-creates nothing. A send returns nothing to its
+handler, so message ids never enter a handler's state; Simulation.fingerprint
+relies on this.
 """
 from __future__ import annotations
 
@@ -129,6 +133,17 @@ class Message:
     payload: dict
     sent_tick: int
     deliver: "Decision"  # the one delivery decision for this message
+    key: tuple | None = field(default=None, compare=False, repr=False)  # canonical(), cached
+
+    def canonical(self) -> tuple:
+        """(txn, source, destination, payload) without the message id, and
+        with a node source named by its node alone: no handler reads the
+        node-process index of a sender (coordinators read `src.node`)."""
+        if self.key is None:
+            src = self.src
+            self.key = (self.txn, src.kind, src.idx if src.node is None else src.node,
+                        self.dst, repr(self.payload))
+        return self.key
 
 
 # --------------------------------------------------------------------------
@@ -247,6 +262,10 @@ def inject_crash(schedule: Schedule, node: int, after_step_index: int) -> Schedu
 # --------------------------------------------------------------------------
 
 
+# Stands in for a cloned live handler's generator until its first resume.
+_RECREATE = object()
+
+
 class _Handler:
     __slots__ = ("gen", "txn", "coordinator", "origin", "sent", "pending", "waiting", "wait_since")
 
@@ -263,20 +282,24 @@ class _Handler:
         self.waiting: WaitRecv | None = None
         self.wait_since: int = 0
 
-    def clone(self, env, node: int | None) -> "_Handler":
+    def clone(self) -> "_Handler":
         h = _Handler(None, self.txn, self.coordinator, self.origin)
         # A finished generator (its _Response staged) is never resumed again,
-        # and a straggler handler has none, so only a live one is re-created.
+        # and a straggler handler has none, so only a live one is re-created,
+        # at the clone's first resume of it.
         if self.gen is not None and not isinstance(self.pending, _Response):
-            if self.coordinator:
-                h.gen = env.coordinator(self.origin)
-            else:
-                h.gen = env.node_handler(node, self.origin)
-            for value in self.sent:
-                h.gen.send(value)
+            h.gen = _RECREATE
             h.sent = list(self.sent)
         h.pending, h.waiting, h.wait_since = self.pending, self.waiting, self.wait_since
         return h
+
+    def recreate(self, env, node: int | None):
+        """A generator in this handler's state: made from the origin, with
+        every value sent so far re-sent."""
+        gen = env.coordinator(self.origin) if self.coordinator else env.node_handler(node, self.origin)
+        for value in self.sent:
+            gen.send(value)
+        return gen
 
 
 class _Proc:
@@ -289,11 +312,11 @@ class _Proc:
         self.step = Decision("step", proc=ref)  # the one step decision for this process
         self.inbound = 0  # in-flight messages addressed to this client
 
-    def clone(self, env) -> "_Proc":
+    def clone(self) -> "_Proc":
         p = _Proc.__new__(_Proc)
         p.ref, p.step, p.inbound = self.ref, self.step, self.inbound
         p.queue = list(self.queue)
-        p.handler = None if self.handler is None else self.handler.clone(env, self.ref.node)
+        p.handler = None if self.handler is None else self.handler.clone()
         return p
 
 
@@ -360,7 +383,7 @@ class Simulation:
         sim = Simulation.__new__(Simulation)
         sim.__dict__.update(self.__dict__)  # shared parts and int counters
         sim.memories = {i: m.clone() for i, m in self.memories.items()}
-        sim._set_procs([p.clone(self.env) for p in self.procs.values()])
+        sim._set_procs([p.clone() for p in self.procs.values()])
         sim.steps = list(self.steps)
         sim.inflight = dict(self.inflight)
         sim.crashed = set(self.crashed)
@@ -393,6 +416,8 @@ class Simulation:
             if h.gen is None:
                 effect = None
             else:
+                if h.gen is _RECREATE:
+                    h.gen = h.recreate(self.env, proc.ref.node)
                 h.sent.append(value)
                 effect = h.gen.send(value)
         except StopIteration as stop:
@@ -431,7 +456,7 @@ class Simulation:
                 self._clients[eff.dst[1]].inbound += 1
             self._log(SEND, proc.ref, h.txn, msgId=msg.msg_id, payload=eff.payload)
             self.inflight[msg.msg_id] = msg
-            self._advance(proc, msg.msg_id)
+            self._advance(proc, None)
             return
         if isinstance(eff, EmitNote):
             self._log(NOTE, proc.ref, h.txn, tag=eff.tag, data=eff.data)
@@ -663,8 +688,9 @@ class Simulation:
         self._log(CRASH, None, None, node=node)
         for proc in self._node_procs[node]:
             if proc.handler is not None:
-                if proc.handler.gen is not None:
-                    proc.handler.gen.close()
+                gen = proc.handler.gen
+                if gen is not None and gen is not _RECREATE:
+                    gen.close()
                 proc.handler = None
 
     def _drop(self, msg: Message) -> None:
@@ -680,6 +706,74 @@ class Simulation:
 
     def all_decided(self) -> bool:
         return self.decided_count >= len(self.scenario.transactions)
+
+    # -- state fingerprint ---------------------------------------------------
+
+    def fingerprint(self) -> int:
+        """A 64-bit hash of this run's state up to node-process symmetry, for
+        the explorer's visited-state cache. Built on demand; runs pay nothing
+        for it.
+
+        Two runs with the same canonical state reach the same committed
+        histories from here on. The state is:
+          * every node's memory cells;
+          * per client: its queue length, its in-flight inbound count and its
+            handler's key;
+          * per node: its processes' handler keys as a multiset (sorted), since
+            node processes are interchangeable: a node handler depends only
+            on (node, message), coordinators read only `src.node`, and a
+            delivery takes any idle process;
+          * in-flight messages as a sorted multiset of Message.canonical();
+          * the crashed nodes, and the coordinator responses emitted so far,
+            from which the history is derived.
+        A handler's key is its txn, its origin (a message's canonical form, or
+        whether it is a coordinator), the values sent into it with messages
+        replaced by their canonical form, and its timer age when armed. Its
+        pending effect and waiting status follow from origin and sent values.
+        No message id enters it: a send returns nothing to its handler.
+
+        The key is Python's hash() of that tuple, so two distinct states
+        share a key only if their tuples collide. Taking hash() as a uniform
+        64-bit function, n distinct states collide with probability at most
+        n*n/2**65: below 1e-9 for 100,000 states. A collision can only merge
+        two states, so a search would skip the second one's successors. A
+        search's output depends only on which keys are equal, not on their
+        values, so string hash randomization does not change it. Handler keys
+        are sorted by their hash; a tie keeps process order, which can only
+        miss a merge."""
+        try:
+            return hash(self._canonical_state(hash))
+        except TypeError:
+            # A cell or read value is a JSON array or object. Values that
+            # print alike stay equal under repr, so this path only runs slower.
+            return hash(repr(self._canonical_state(repr)))
+
+    def _canonical_state(self, order) -> tuple:
+        """fingerprint's tuple; `order` sorts each node's handler keys."""
+        tick = self.tick
+
+        def handler_key(h: _Handler | None):
+            if h is None:
+                return None
+            origin = h.origin.canonical() if type(h.origin) is Message else h.coordinator
+            sent = tuple([v.canonical() if type(v) is Message else v for v in h.sent])
+            w = h.waiting
+            age = tick - h.wait_since if w is not None and w.timeout is not None else None
+            return (h.txn, origin, sent, age)
+
+        # tuple() of lists, not of generators: a generator's tuple is built by
+        # resizing, which leaves freed tuples piling up in CPython's per-size
+        # free lists.
+        return (
+            tuple([tuple(m.cells.values()) for m in self.memories.values()]),
+            tuple([(len(p.queue), p.inbound, handler_key(p.handler)) for p in self._clients]),
+            tuple([tuple(sorted([handler_key(p.handler) for p in procs], key=order))
+                   for procs in self._node_procs]),
+            tuple(sorted([m.canonical() for m in self.inflight.values()])),
+            tuple(sorted(self.crashed)),
+            tuple(sorted((s.txn, repr(s.fields)) for s in self.steps
+                         if s.kind == RESPONSE and s.outcome is not None)),
+        )
 
     def result(self, schedule_json: Any = None) -> RunResult:
         trace = ExecutionTrace(

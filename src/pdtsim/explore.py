@@ -1,8 +1,8 @@
-"""Bounded schedule exploration: exhaustive interleaving search and seeded
-random sampling, both replayable.
+"""Schedule exploration: a stateful exhaustive search and seeded random
+sampling, both replayable.
 
-Exhaustive mode is a depth-first search over scheduling frontiers, plus two
-sound reductions:
+Exhaustive mode is a depth-first search over scheduling frontiers, plus
+three sound reductions:
 
   * invisible steps (invocations, sends, notes, responses) never branch:
     they touch no shared memory and commute with every other choice;
@@ -11,20 +11,37 @@ sound reductions:
     (the lock-free read retries until it sees one), so every reachable
     committed history is already reachable with handler sections scheduled
     atomically. Witness schedules carry the granularity, so they replay as
-    explored.
+    explored;
+  * a visited-state cache (stateful search, as in SPIN): at each frontier
+    the run takes the state's fingerprint (Simulation.fingerprint) and stops
+    if the state was expanded before. The histories reachable from a state
+    depend only on what the fingerprint holds: a handler is a deterministic
+    function of its origin and of the values sent into it; a send returns
+    no message id to its handler, so ids never enter any state; and node
+    processes are interchangeable (a node handler depends only on its node
+    and message, coordinators read only a sender's node, and a delivery
+    takes any idle process), so the fingerprint sorts each node's processes
+    and names a node sender by its node. The search ignores the synchrony
+    bound, so time enters only as the ages of armed timers, which the
+    fingerprint holds. The responses emitted so far are
+    part of the state, so two runs that meet at a state share their past
+    history too. No state recurs along a run, since a recurrence would allow
+    a run that never ends, so the cache cannot postpone a choice that the
+    eager invisible steps deferred.
 
 The search's stack holds Simulation clones, each an untried alternative
 that has already applied its choice, and the search is complete when the
 stack is empty. A run pops one clone, so no schedule re-executes its prefix
-from the initial state, and descends greedily to a new terminal, pushing a
-clone for each other choice at every frontier on its way. It stops once
-every transaction has decided, or once nothing is enabled. Its steps then
-hold every coordinator response, so they give the terminal's history; the
-rest of the run could change no response. The fair policy drives a stopped
-run to quiescence only when its decision list is needed: for the schedule of
-a violation seen for the first time, or for on_terminal. Frontier orderings
-rotate with depth so the first descents interleave the transactions instead
-of serializing them. Random mode stops each sample at the same point.
+from the initial state, and descends greedily, pushing a clone for each other
+choice at every new frontier on its way. Clones are cheap: a clone re-creates
+a handler's generator only when it first resumes it. A run that meets a
+visited state is a revisit and records nothing. Otherwise it stops once
+every transaction has decided, or once nothing is enabled: a terminal. Its
+steps then hold every coordinator response, so they give the terminal's
+history; the rest of the run could change no response. The fair policy
+drives a terminal to quiescence only when its decision list is needed: for
+the schedule of a violation seen for the first time, or for on_terminal.
+Random mode stops each sample at the same point.
 """
 from __future__ import annotations
 
@@ -52,20 +69,32 @@ GRANULARITY = "atomic"  # the explorer's scheduling unit: a whole handler sectio
 
 @dataclass
 class ExplorationResult:
-    schedules_run: int
+    schedules_run: int  # runs: terminals plus, in exhaustive mode, revisits
     terminal_histories: list[str]
     violations: list[dict]
     complete: bool
     mode: str
+    # Exhaustive mode only: distinct frontier states expanded, and runs that
+    # stopped at a state expanded before.
+    states: int | None = None
+    revisits: int = 0
+
+    @property
+    def terminals(self) -> int:
+        """Runs that reached a terminal and recorded its history."""
+        return self.schedules_run - self.revisits
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "mode": self.mode,
             "schedulesRun": self.schedules_run,
             "complete": self.complete,
             "terminalHistories": self.terminal_histories,
             "violations": self.violations,
         }
+        if self.states is not None:
+            out.update(states=self.states, revisits=self.revisits, terminals=self.terminals)
+        return out
 
 
 class _Collector:
@@ -94,9 +123,11 @@ class _Collector:
                 "schedulesMatching": 1,
             }
 
-    def result(self, runs: int, complete: bool, mode: str) -> ExplorationResult:
+    def result(self, runs: int, complete: bool, mode: str,
+               states: int | None = None, revisits: int = 0) -> ExplorationResult:
         return ExplorationResult(
-            runs, sorted(self.verdicts), list(self.violations.values()), complete, mode
+            runs, sorted(self.verdicts), list(self.violations.values()), complete, mode,
+            states, revisits,
         )
 
 
@@ -115,33 +146,38 @@ def _next_choices(sim: Simulation) -> list[Decision]:
     return []
 
 
-def _ordered(choices: list[Decision], depth: int) -> list[Decision]:
-    """Deliveries ahead of steps, rotated by depth: message races surface in
-    the first descents instead of after deep backtracking."""
-    if len(choices) <= 1:
-        return choices
-    ranked = [c for c in choices if c.t == "deliver"] + [c for c in choices if c.t != "deliver"]
-    rot = depth % len(ranked)
-    return ranked[rot:] + ranked[:rot]
+def _ordered(choices: list[Decision]) -> list[Decision]:
+    """Deliveries ahead of steps: message races surface in the first
+    descents instead of after deep backtracking."""
+    return [c for c in choices if c.t == "deliver"] + [c for c in choices if c.t != "deliver"]
 
 
 class _Descent:
-    """Policy for one exhaustive run: at each frontier take the first ordered
-    choice, and push onto the stack, in reverse order, one clone per other
-    choice that has already applied it. The deepest frontier's next
-    alternative is then on top, so popping the stack gives a depth-first
-    search. explore_exhaustive wraps it in UntilDecided, so a run stops once
-    every transaction has decided; the fair policy finishes a stopped run
-    only when a reported schedule needs its decisions."""
+    """Policy for one exhaustive run. At a frontier (two or more choices)
+    whose state is in `seen` it stops the run as a revisit. At a new one it
+    records the state, takes the first ordered choice, and pushes onto the
+    stack, in reverse order, one clone per other choice that has already
+    applied it. The deepest frontier's next alternative is then on top, so
+    popping the stack gives a depth-first search. explore_exhaustive wraps
+    it in UntilDecided, so a run stops once every transaction has decided;
+    the fair policy finishes a stopped run only when a reported schedule
+    needs its decisions."""
 
-    def __init__(self, stack: list[Simulation]):
+    def __init__(self, stack: list[Simulation], seen: set[int]):
         self.stack = stack
+        self.seen = seen
+        self.revisit = False
 
     def next_decision(self, sim: Simulation) -> Decision | None:
         choices = _next_choices(sim)
-        if not choices:
+        if len(choices) <= 1:
+            return choices[0] if choices else None
+        key = sim.fingerprint()
+        if key in self.seen:
+            self.revisit = True
             return None
-        first, *others = _ordered(choices, len(sim.decisions_taken))
+        self.seen.add(key)
+        first, *others = _ordered(choices)
         for choice in reversed(others):
             alternative = sim.clone()
             alternative.apply(choice)
@@ -164,11 +200,16 @@ def explore_exhaustive(
 ) -> ExplorationResult:
     collector = _Collector(scenario)
     stack = [Simulation(scenario.config, variant, scenario, granularity=GRANULARITY)]
-    runs = 0
+    seen: set[int] = set()
+    runs = revisits = 0
     while stack and runs < bound:
         sim = stack.pop()
-        drive(sim, UntilDecided(_Descent(stack)))
+        descent = _Descent(stack, seen)
+        drive(sim, UntilDecided(descent))
         runs += 1
+        if descent.revisit:
+            revisits += 1
+            continue
         # The stack holds only clones, so the fair tail may finish the
         # stopped sim in place; it changes no response, so the history is
         # the same whether it ran or not.
@@ -178,7 +219,7 @@ def explore_exhaustive(
             collector.record(sim.steps, lambda: schedule)
         else:
             collector.record(sim.steps, lambda: _finished(sim))
-    return collector.result(runs, not stack, "exhaustive")
+    return collector.result(runs, not stack, "exhaustive", len(seen), revisits)
 
 
 def explore_random(

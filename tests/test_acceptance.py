@@ -110,6 +110,10 @@ def test_c3_property_matrix(matrix_report):
         else:
             assert cell.get("schedule") is not None
             Schedule.from_json(cell["schedule"])  # parses -> replayable
+    # The serializability PASS of each variant on fids rests on its whole space.
+    for variant in ("no-fast", "weak-ir", "no-ddap"):
+        assert cells[variant]["serializability"]["evidence"].startswith(
+            "complete exploration of fids ("), variant
     _ok("3 property-matrix (5 variants x 7 properties, witnesses replayable)")
 
 
@@ -156,16 +160,20 @@ def test_c6_oracle_cross_validation():
 
 def test_c7_exhaustive_exploration(matrix_report):
     res = explore(scenario_fids(), AlgorithmVariant("base"), mode="exhaustive")
+    assert res.complete
     assert len(res.violations) >= 1
     # The matrix's serializability cells of the other variants are the same
-    # exhaustive exploration at the default bound.
+    # exhaustive exploration at the default bound: complete on fids, bounded
+    # on fids-replicated.
     cells = matrix_report["json"]["cells"]
-    for tag, scen in (("no-fast", "fids"), ("weak-ir", "fids"), ("no-ddap", "fids"),
-                      ("no-seamless", "fids-replicated")):
+    for tag, evidence in (("no-fast", "complete exploration of fids ("),
+                          ("weak-ir", "complete exploration of fids ("),
+                          ("no-ddap", "complete exploration of fids ("),
+                          ("no-seamless", "bounded exploration of fids-replicated (8000 runs, ")):
         cell = cells[tag]["serializability"]
-        assert cell["evidence"].startswith(f"bounded exhaustive exploration of {scen} ("), tag
+        assert cell["evidence"].startswith(evidence), tag
         assert cell["pass"] and cell["witness"] is None, tag
-    _ok("7 exploration (base >= 1 violation; all four variants 0)")
+    _ok("7 exploration (base >= 1 violation, complete; all four variants 0)")
 
 
 def test_c8_determinism(tmp_path):

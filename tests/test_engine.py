@@ -19,9 +19,10 @@ from pdtsim.engine import (
     make_policy,
 )
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
-from pdtsim.explore import explore, explore_exhaustive
+from pdtsim import explore as explore_module
+from pdtsim.explore import explore, explore_exhaustive, explore_random
 from pdtsim.model import NOTE, PRIM, RECV, SEND, ProcessRef, derive_history, txn_depth
-from pdtsim.protocols import VARIANTS, AlgorithmVariant
+from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
 
@@ -388,21 +389,22 @@ def test_clone_continues_identically():
 # Golden explorations: the explorer's output, and the order of its schedules
 # --------------------------------------------------------------------------
 
-# SHA-256s taken before the explorer backtracked from snapshots, when every
-# schedule replayed its prefix from the initial state.
-GOLDEN_EXPLORATION_SHA256 = "c5a1c7c71d00c82ab772578e2ce486641d347c935862fbff457ac36012670b1f"
-GOLDEN_SCHEDULE_ORDER_SHA256 = "79bad20538f1d9d89adda1b5ad6bf4bde608a9c7cc590197d677c578b9aa6907"
-GOLDEN_MATRIX_JSON_SHA256 = "1128472beb4d787ef60fb2c0e25ea47c093339662a7a18b93ba578e5e13f43ce"
+# Taken when the exhaustive search first cached visited states and ordered
+# frontiers with deliveries first, without the depth rotation.
+GOLDEN_EXPLORATION_SHA256 = "f85f5b72099a0a3c4b085d918050931891eb6a9e7b133ec206b06d1d72cb2543"
+GOLDEN_SCHEDULE_ORDER_SHA256 = "c44e1366131b43adc087a962a1805fa0f1a087ca13c0f27720f0fdfb3923bb94"
+GOLDEN_MATRIX_JSON_SHA256 = "a60331d9b03a3c5e270f2d04522ef978d30a87be7779f9eceb5a35302e0daf08"
+GOLDEN_VIOLATION_EXPLORATION_SHA256 = "0f65ee75b20d10b3ddbc97190806d33b10b8a89911eca0ecda8efb3d185f775b"
+# Taken before the explorer backtracked from snapshots, when every schedule
+# replayed its prefix from the initial state.
 GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
-# Taken when the exhaustive stack still held frames with snapshots, and each
-# random sample ran to quiescence through engine.run.
-GOLDEN_VIOLATION_EXPLORATION_SHA256 = "e7800743f887f18a20a514ab74ae03c53fe379edd4e62edc03e596ca1fbacfac"
+# Taken when each random sample still ran to quiescence through engine.run.
 GOLDEN_RANDOM_EXPLORATION_SHA256 = "98e3a1f7b87348ceb37f44a3ec9d345da4843037cc5a5d80272712b3528d5af1"
 
 
 @pytest.fixture(scope="module")
 def golden_explorations():
-    """Exhaustive exploration bounded at 300 schedules of every admitted
+    """Exhaustive exploration bounded at 300 runs of every admitted
     variant on fids, fids-replicated and rfids."""
     return [
         (scen, variant, explore(scen, variant, mode="exhaustive", max_schedules=300))
@@ -413,8 +415,8 @@ def golden_explorations():
 
 @pytest.fixture(scope="module")
 def violation_exploration():
-    """fids/base explored exhaustively to 4,000 schedules, which reaches its
-    one violating history."""
+    """fids/base explored exhaustively with a 4,000-run bound: the search
+    completes at 2,187 runs, with one violating history."""
     fids, base = get_scenario("fids"), AlgorithmVariant("base")
     return fids, base, explore(fids, base, mode="exhaustive", max_schedules=4000)
 
@@ -461,9 +463,9 @@ def test_golden_random_exploration():
 def test_violation_schedules_replay(golden_explorations, violation_exploration):
     """A reported violation's schedule is its whole run, fair tail included:
     engine.run replays it to the violation's history and leaves nothing in
-    flight and no choice enabled. The golden explorations report no
-    violation within 300 schedules; fids/base reports its one violating
-    history within 4,000."""
+    flight and no choice enabled. Of the golden explorations, only fids/base
+    reports a violation within 300 runs; its complete search reports the
+    same one violating history."""
     explorations = golden_explorations + [violation_exploration]
     replayed = 0
     for scen, variant, res in explorations:
@@ -480,12 +482,12 @@ def test_violation_schedules_replay(golden_explorations, violation_exploration):
             completed = run(scen.config, variant, scen, replace(schedule, complete=True))
             assert completed.decisions == result.decisions
             replayed += 1
-    assert replayed == 1
+    assert replayed == 2
 
 
 def test_exploration_stops_runs_without_the_fair_tail(monkeypatch):
     """Without on_terminal, only a first-seen violation drives the fair tail,
-    and fids/no-fast has none in its first 300 schedules."""
+    and fids/no-fast has none in its whole space."""
     calls = 0
     next_decision = FairPolicy.next_decision
 
@@ -496,9 +498,128 @@ def test_exploration_stops_runs_without_the_fair_tail(monkeypatch):
 
     monkeypatch.setattr(FairPolicy, "next_decision", counted)
     scen = get_scenario("fids")
-    res = explore_exhaustive(AlgorithmVariant("no-fast"), scen, bound=300)
-    assert res.schedules_run == 300 and not res.violations
+    res = explore_exhaustive(AlgorithmVariant("no-fast"), scen)
+    assert res.complete and not res.violations
     assert calls == 0
+
+
+# --------------------------------------------------------------------------
+# The stateful search: complete on fids, whatever the frontier order
+# --------------------------------------------------------------------------
+
+# Distinct frontier states of each complete fids search.
+FIDS_STATES = {"base": 1064, "no-fast": 237, "weak-ir": 1819, "no-ddap": 1819}
+
+
+@pytest.fixture(scope="module")
+def complete_fids_searches():
+    """The exhaustive search of fids, at the default run bound, for every
+    variant that runs on fids."""
+    fids = get_scenario("fids")
+    return {tag: explore_exhaustive(AlgorithmVariant(tag), fids) for tag in FIDS_STATES}
+
+
+def _violating(res) -> set[str]:
+    return {v["history"] for v in res.violations}
+
+
+def test_complete_search_is_independent_of_frontier_order(complete_fids_searches, monkeypatch):
+    """Each state is expanded once, so the order of a frontier's choices
+    decides only which path reaches a state first: reversing it gives the
+    same states and the same histories."""
+    ordered = explore_module._ordered
+    monkeypatch.setattr(explore_module, "_ordered", lambda choices: ordered(choices)[::-1])
+    fids = get_scenario("fids")
+    for tag, res in complete_fids_searches.items():
+        reversed_res = explore_exhaustive(AlgorithmVariant(tag), fids)
+        assert res.complete and reversed_res.complete, tag
+        assert res.states == reversed_res.states == FIDS_STATES[tag], tag
+        assert reversed_res.terminal_histories == res.terminal_histories, tag
+        assert _violating(reversed_res) == _violating(res), tag
+    assert len(complete_fids_searches["base"].violations) == 1
+
+
+def test_complete_search_covers_random_sampling(complete_fids_searches):
+    """Every history that 1,000 random samples reach, and every violation
+    among them, the complete search reaches too."""
+    fids = get_scenario("fids")
+    for tag, res in complete_fids_searches.items():
+        sampled = explore_random(AlgorithmVariant(tag), fids, n=1000)
+        assert set(sampled.terminal_histories) <= set(res.terminal_histories), tag
+        assert _violating(sampled) <= _violating(res), tag
+
+
+def test_dropped_clone_recreates_no_generator(monkeypatch):
+    """A clone re-creates a live handler's generator only when it first
+    resumes that handler: a dropped clone re-creates none, and one step
+    re-creates the stepped handler's alone."""
+    made = []
+    for name in ("coordinator", "node_handler"):
+        factory = getattr(ProtocolEnv, name)
+        monkeypatch.setattr(ProtocolEnv, name,
+                            lambda self, *args, _factory=factory: made.append(args) or _factory(self, *args))
+    scen, variant = get_scenario("fids"), AlgorithmVariant("base")
+    sim = Simulation(scen.config, variant, scen, granularity="atomic")
+    fair = FairPolicy()
+    # Until both coordinators and a node handler are live.
+    while sum(p.handler is not None for p in sim.procs.values()) < 3:
+        sim.apply(fair.next_decision(sim))
+    live = [p for p in sim.procs.values() if p.handler is not None and p.handler.pending is not None]
+    assert live
+    before = len(made)
+    sim.clone()
+    assert len(made) == before
+    clone = sim.clone()
+    clone.apply(live[0].step)
+    assert len(made) == before + 1
+    # The re-created handler continues as the original does.
+    sim.apply(live[0].step)
+    assert _serialize(clone.result().trace) == _serialize(sim.result().trace)
+
+
+def test_fingerprint_keys_the_canonical_state():
+    """States that differ only in message ids, or in which process of a node
+    runs a handler, share a fingerprint. A past response or a value a live
+    handler received, which the rest of the state need not show, changes it."""
+    scen, variant = get_scenario("fids"), AlgorithmVariant("base")
+    c0, c1 = ProcessRef.client(0), ProcessRef.client(1)
+
+    def invoked(order):
+        sim = Simulation(scen.config, variant, scen, granularity="atomic")
+        for ref in order:
+            sim.apply(Decision("step", proc=ref))  # the invocation
+            sim.apply(Decision("step", proc=ref))  # its read request
+        return sim
+
+    a, b = invoked([c0, c1]), invoked([c1, c0])
+    read_a, read_b = ([m for m in sim.inflight.values() if m.txn == "t1"] for sim in (a, b))
+    assert len(read_a) == len(read_b) == 1 and read_a[0].msg_id != read_b[0].msg_id
+    assert a.fingerprint() == b.fingerprint()
+
+    pinned = [a.clone(), a.clone()]
+    for pin, sim in enumerate(pinned):
+        sim.apply(Decision("deliver", msg=read_a[0].msg_id, pin=pin))
+    assert pinned[0].fingerprint() == pinned[1].fingerprint() != a.fingerprint()
+    for pin, sim in enumerate(pinned):
+        sim.apply(Decision("step", proc=ProcessRef.node_proc(0, pin)))  # read and reply
+    assert pinned[0].fingerprint() == pinned[1].fingerprint()
+
+    sim = Simulation(scen.config, variant, scen, granularity="atomic")
+    fair = FairPolicy()
+    while sim.decided_count == 0:
+        sim.apply(fair.next_decision(sim))
+    assert not sim.all_decided()
+    key = sim.fingerprint()
+    response = next(i for i, s in enumerate(sim.steps) if s.kind == "response" and s.outcome)
+    changed = sim.clone()
+    old = changed.steps[response]
+    changed.steps[response] = replace(old, fields={**old.fields, "readSet": [["X1", "other"]]})
+    assert changed.fingerprint() != key
+    changed = sim.clone()
+    handler = next(p.handler for p in changed.procs.values() if p.handler and p.handler.sent)
+    handler.sent[0] = "other"
+    assert changed.fingerprint() != key
+    assert sim.clone().fingerprint() == key
 
 
 def test_invisible_atomic_steps_run_no_primitive():

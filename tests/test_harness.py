@@ -157,27 +157,57 @@ def test_no_ddap_fids_contends_on_global_lock():
     assert GLOBAL_LOCK in objs
 
 
-def test_exploration_visits_each_interleaving_once(base, monkeypatch):
-    # A scenario small enough to exhaust: the frontier is swept completely
-    # and no decision sequence repeats. Each untried alternative costs one
-    # clone, so a complete search clones once per schedule after the first.
+def _stateless_histories(variant, scen) -> set[str]:
+    """Reference for the visited-state cache: the explorer's DFS with its
+    invisible-step reduction and no cache, so it runs every interleaving of
+    the frontiers to a terminal."""
+    from pdtsim.explore import GRANULARITY, _next_choices
+    from pdtsim.model import ExecutionTrace
+
+    histories, stack = set(), [Simulation(scen.config, variant, scen, granularity=GRANULARITY)]
+    while stack:
+        sim = stack.pop()
+        while not sim.all_decided() and (choices := _next_choices(sim)):
+            for choice in choices[1:]:
+                alternative = sim.clone()
+                alternative.apply(choice)
+                stack.append(alternative)
+            sim.apply(choices[0])
+        histories.add(derive_history(ExecutionTrace(sim.steps, scenario=scen)).canonical())
+    return histories
+
+
+@pytest.mark.parametrize("writes", [
+    ([], []),
+    ([("X", "always", 1)], [("X", "always", 2)]),
+], ids=["readers", "writers"])
+def test_exploration_expands_each_state_once(base, monkeypatch, writes):
+    # A scenario small enough to exhaust without the cache, too. Each frontier
+    # state is expanded once: every other run that meets it stops there. Each
+    # untried alternative costs one clone, so a complete search clones once
+    # per run after the first, and it reaches exactly the stateless search's
+    # histories.
     from conftest import make_scenario
-    from pdtsim.engine import Simulation
     from pdtsim.explore import explore_exhaustive
 
-    clones = 0
-    clone = Simulation.clone
+    clones, keys = 0, []
+    clone, fingerprint = Simulation.clone, Simulation.fingerprint
 
     def counted(self):
         nonlocal clones
         clones += 1
         return clone(self)
 
+    def recorded(self):
+        keys.append(fingerprint(self))
+        return keys[-1]
+
     monkeypatch.setattr(Simulation, "clone", counted)
+    monkeypatch.setattr(Simulation, "fingerprint", recorded)
 
     scen = make_scenario(
         {"X": None}, {"X": [0]}, 1, 0,
-        [("t1", 0, ["X"], []), ("t2", 1, ["X"], [])],
+        [("t1", 0, ["X"], writes[0]), ("t2", 1, ["X"], writes[1])],
         procs=2,
     )
     seen = []
@@ -186,9 +216,10 @@ def test_exploration_visits_each_interleaving_once(base, monkeypatch):
         on_terminal=lambda sched: seen.append(json.dumps(sched.to_json(), sort_keys=True)),
     )
     assert res.complete
-    assert res.schedules_run == len(seen) == len(set(seen))
-    assert res.schedules_run > 1
+    assert res.terminals == len(seen) == len(set(seen)) > 1
+    assert len(keys) == res.states + res.revisits and len(set(keys)) == res.states
     assert clones == res.schedules_run - 1
+    assert set(res.terminal_histories) == _stateless_histories(base, scen)
 
 
 def test_cli_matrix(matrix_report):
