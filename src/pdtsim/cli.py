@@ -88,7 +88,10 @@ def _cmd_explore(args) -> int:
     payload = json.dumps(result.to_json(), sort_keys=True, indent=2, ensure_ascii=False)
     Path(args.out).write_text(payload + "\n", encoding="utf-8")
     extent = "complete" if result.complete else "bounded"
-    states = "" if result.states is None else f", {result.states} states"
+    states = "" if result.states is None else (
+        f" ({result.terminals} terminals, {result.revisits} revisits, "
+        f"{result.sleep_blocked} sleep-blocked), {result.states} states"
+    )
     print(f"{extent} {result.mode} exploration: {result.schedules_run} runs{states}, "
           f"{len(result.violations)} violation(s), "
           f"{len(result.terminal_histories)} distinct histories -> {args.out}")

@@ -303,10 +303,12 @@ class _Handler:
 
 
 class _Proc:
-    __slots__ = ("ref", "handler", "queue", "step", "inbound")
+    __slots__ = ("ref", "owner", "handler", "queue", "step", "inbound")
 
     def __init__(self, ref: ProcessRef):
         self.ref = ref
+        # Its client, or its node: a message's destination in the same form.
+        self.owner = ("client", ref.idx) if ref.node is None else ("node", ref.node)
         self.handler: _Handler | None = None
         self.queue: list[TransactionProgram] = []  # client transaction backlog
         self.step = Decision("step", proc=ref)  # the one step decision for this process
@@ -314,7 +316,7 @@ class _Proc:
 
     def clone(self) -> "_Proc":
         p = _Proc.__new__(_Proc)
-        p.ref, p.step, p.inbound = self.ref, self.step, self.inbound
+        p.ref, p.owner, p.step, p.inbound = self.ref, self.owner, self.step, self.inbound
         p.queue = list(self.queue)
         p.handler = None if self.handler is None else self.handler.clone()
         return p
@@ -375,7 +377,7 @@ class Simulation:
         self.next_msg_id = 0
         self.max_delivery_lag = 0
         self.decisions_taken: list[Decision] = []
-        self.decided_count = 0
+        self.responses: list[Step] = []  # the coordinator responses, in trace order
 
     def clone(self) -> "Simulation":
         """A copy in this run's current state, from which it continues as
@@ -388,6 +390,7 @@ class Simulation:
         sim.inflight = dict(self.inflight)
         sim.crashed = set(self.crashed)
         sim.decisions_taken = list(self.decisions_taken)
+        sim.responses = list(self.responses)
         return sim
 
     def _set_procs(self, procs: list[_Proc]) -> None:
@@ -465,11 +468,10 @@ class Simulation:
         if isinstance(eff, _Response):
             if h.coordinator:
                 v = eff.value
-                self._log(
+                self.responses.append(self._log(
                     RESPONSE, proc.ref, h.txn,
                     outcome=v["outcome"], readSet=v["readSet"], writeSet=v["writeSet"],
-                )
-                self.decided_count += 1
+                ))
             else:
                 self._log(RESPONSE, proc.ref, h.txn, outcome=None, readSet=None, writeSet=None)
             proc.handler = None
@@ -563,12 +565,22 @@ class Simulation:
         return out
 
     def has_armed_timer(self) -> bool:
-        return any(
-            p.handler is not None
-            and p.handler.waiting is not None
+        return bool(self.armed_timers())
+
+    def armed_timers(self) -> list[Decision]:
+        """The step decisions of the processes whose handler waits on a
+        timer, expired or not. Each one resumes its handler with TIMEOUT once
+        the timer expires."""
+        return [
+            p.step for p in self.procs.values()
+            if p.handler is not None and p.handler.waiting is not None
             and p.handler.waiting.timeout is not None
-            for p in self.procs.values()
-        )
+        ]
+
+    def ticks_to_expiry(self, ref: ProcessRef) -> int:
+        """Ticks until the process's armed timer expires; 0 once it has."""
+        h = self.procs[ref].handler
+        return max(0, h.waiting.timeout - (self.tick - h.wait_since))
 
     # -- decision application -----------------------------------------------
 
@@ -705,7 +717,7 @@ class Simulation:
                 self._drop(msg)
 
     def all_decided(self) -> bool:
-        return self.decided_count >= len(self.scenario.transactions)
+        return len(self.responses) >= len(self.scenario.transactions)
 
     # -- state fingerprint ---------------------------------------------------
 
@@ -728,9 +740,12 @@ class Simulation:
             from which the history is derived.
         A handler's key is its txn, its origin (a message's canonical form, or
         whether it is a coordinator), the values sent into it with messages
-        replaced by their canonical form, and its timer age when armed. Its
+        replaced by their canonical form, and whether its timer is armed. Its
         pending effect and waiting status follow from origin and sent values.
-        No message id enters it: a send returns nothing to its handler.
+        No message id enters it: a send returns nothing to its handler. Nor
+        does a timer's age: the explorer fires a timer only when nothing else
+        is enabled, so how long it has been armed changes nothing that follows
+        (see explore.py).
 
         The key is Python's hash() of that tuple, so two distinct states
         share a key only if their tuples collide. Taking hash() as a uniform
@@ -750,30 +765,47 @@ class Simulation:
 
     def _canonical_state(self, order) -> tuple:
         """fingerprint's tuple; `order` sorts each node's handler keys."""
-        tick = self.tick
-
-        def handler_key(h: _Handler | None):
-            if h is None:
-                return None
-            origin = h.origin.canonical() if type(h.origin) is Message else h.coordinator
-            sent = tuple([v.canonical() if type(v) is Message else v for v in h.sent])
-            w = h.waiting
-            age = tick - h.wait_since if w is not None and w.timeout is not None else None
-            return (h.txn, origin, sent, age)
-
         # tuple() of lists, not of generators: a generator's tuple is built by
         # resizing, which leaves freed tuples piling up in CPython's per-size
         # free lists.
         return (
             tuple([tuple(m.cells.values()) for m in self.memories.values()]),
-            tuple([(len(p.queue), p.inbound, handler_key(p.handler)) for p in self._clients]),
-            tuple([tuple(sorted([handler_key(p.handler) for p in procs], key=order))
+            tuple([(len(p.queue), p.inbound, _handler_key(p.handler)) for p in self._clients]),
+            tuple([tuple(sorted([_handler_key(p.handler) for p in procs], key=order))
                    for procs in self._node_procs]),
             tuple(sorted([m.canonical() for m in self.inflight.values()])),
             tuple(sorted(self.crashed)),
-            tuple(sorted((s.txn, repr(s.fields)) for s in self.steps
-                         if s.kind == RESPONSE and s.outcome is not None)),
+            tuple(sorted([(s.txn, repr(s.fields)) for s in self.responses])),
         )
+
+    def choice_owner(self, d: Decision) -> tuple | None:
+        """What an enabled choice acts on: a delivery's destination, or a
+        step's client or node, as ("client", idx) or ("node", node). None for
+        a crash, a tick or a timer's step, which depend on every choice."""
+        if d.t == "deliver":
+            return self.inflight[d.msg].dst
+        if d.t == "step":
+            proc = self.procs[d.proc]
+            if proc.handler is None or proc.handler.waiting is None:
+                return proc.owner
+        return None
+
+    def choice_key(self, d: Decision) -> tuple | None:
+        """An enabled choice named as the fingerprint names the state:
+        (owner, the message's canonical form) for a delivery, (owner, the
+        handler's key) for a step. Choices that lead to symmetric states
+        share a key. None where choice_owner is None."""
+        owner = self.choice_owner(d)
+        if owner is None:
+            return None
+        if d.t == "deliver":
+            return owner, self.inflight[d.msg].canonical()
+        key = _handler_key(self.procs[d.proc].handler)
+        try:
+            hash(key)
+        except TypeError:
+            key = repr(key)  # a JSON array or object among its values
+        return owner, key
 
     def result(self, schedule_json: Any = None) -> RunResult:
         trace = ExecutionTrace(
@@ -788,6 +820,17 @@ class Simulation:
             {i: m.snapshot() for i, m in self.memories.items()},
             self.max_delivery_lag,
         )
+
+
+def _handler_key(h: _Handler | None) -> tuple | None:
+    """A handler's state for Simulation.fingerprint: txn, origin, sent values
+    and whether a timer is armed, with messages in their canonical form."""
+    if h is None:
+        return None
+    origin = h.origin.canonical() if type(h.origin) is Message else h.coordinator
+    sent = tuple([v.canonical() if type(v) is Message else v for v in h.sent])
+    w = h.waiting
+    return (h.txn, origin, sent, w is not None and w.timeout is not None)
 
 
 # --------------------------------------------------------------------------

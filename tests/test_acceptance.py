@@ -163,13 +163,13 @@ def test_c7_exhaustive_exploration(matrix_report):
     assert res.complete
     assert len(res.violations) >= 1
     # The matrix's serializability cells of the other variants are the same
-    # exhaustive exploration at the default bound: complete on fids, bounded
-    # on fids-replicated.
+    # exhaustive exploration at the default bound, complete on fids and on
+    # fids-replicated.
     cells = matrix_report["json"]["cells"]
     for tag, evidence in (("no-fast", "complete exploration of fids ("),
                           ("weak-ir", "complete exploration of fids ("),
                           ("no-ddap", "complete exploration of fids ("),
-                          ("no-seamless", "bounded exploration of fids-replicated (8000 runs, ")):
+                          ("no-seamless", "complete exploration of fids-replicated (5505 states, ")):
         cell = cells[tag]["serializability"]
         assert cell["evidence"].startswith(evidence), tag
         assert cell["pass"] and cell["witness"] is None, tag

@@ -21,7 +21,7 @@ from pdtsim.engine import (
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim import explore as explore_module
 from pdtsim.explore import explore, explore_exhaustive, explore_random
-from pdtsim.model import NOTE, PRIM, RECV, SEND, ProcessRef, derive_history, txn_depth
+from pdtsim.model import NOTE, PRIM, RECV, SEND, ExecutionTrace, ProcessRef, derive_history, txn_depth
 from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
@@ -389,12 +389,12 @@ def test_clone_continues_identically():
 # Golden explorations: the explorer's output, and the order of its schedules
 # --------------------------------------------------------------------------
 
-# Taken when the exhaustive search first cached visited states and ordered
-# frontiers with deliveries first, without the depth rotation.
-GOLDEN_EXPLORATION_SHA256 = "f85f5b72099a0a3c4b085d918050931891eb6a9e7b133ec206b06d1d72cb2543"
-GOLDEN_SCHEDULE_ORDER_SHA256 = "c44e1366131b43adc087a962a1805fa0f1a087ca13c0f27720f0fdfb3923bb94"
-GOLDEN_MATRIX_JSON_SHA256 = "a60331d9b03a3c5e270f2d04522ef978d30a87be7779f9eceb5a35302e0daf08"
-GOLDEN_VIOLATION_EXPLORATION_SHA256 = "0f65ee75b20d10b3ddbc97190806d33b10b8a89911eca0ecda8efb3d185f775b"
+# Taken when the exhaustive search first combined sleep sets with its
+# visited-state cache and fired timers only when nothing else was enabled.
+GOLDEN_EXPLORATION_SHA256 = "686add48410446c5016cbb8d3c499c6c2f3cb66cf8baea1c0bf3650e40cbddab"
+GOLDEN_SCHEDULE_ORDER_SHA256 = "dd517b1ef778aa8772fb5f3d3965788703172ea22a7c60a72624a0bf5db9cc8b"
+GOLDEN_MATRIX_JSON_SHA256 = "5fe57d1eb4fd8bf9e8678eca37d0c6584bb3da3f4233acc0a30354672b6531a1"
+GOLDEN_VIOLATION_EXPLORATION_SHA256 = "208fe6e978c9808777e03770fbd463afecc15936d0b918a341e77d75f8646ae1"
 # Taken before the explorer backtracked from snapshots, when every schedule
 # replayed its prefix from the initial state.
 GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
@@ -416,7 +416,7 @@ def golden_explorations():
 @pytest.fixture(scope="module")
 def violation_exploration():
     """fids/base explored exhaustively with a 4,000-run bound: the search
-    completes at 2,187 runs, with one violating history."""
+    completes at 709 runs, with one violating history."""
     fids, base = get_scenario("fids"), AlgorithmVariant("base")
     return fids, base, explore(fids, base, mode="exhaustive", max_schedules=4000)
 
@@ -549,6 +549,34 @@ def test_complete_search_covers_random_sampling(complete_fids_searches):
         assert _violating(sampled) <= _violating(res), tag
 
 
+def test_stored_state_tries_only_the_choices_that_slept_there():
+    """A run that meets a stored state stops there if it carries every
+    choice that slept when the state was stored. Otherwise it tries only the
+    stored sleeping choices it does not carry, and the state's entry shrinks
+    to the choices asleep in both."""
+    scen, variant = get_scenario("fids"), AlgorithmVariant("base")
+    sim = Simulation(scen.config, variant, scen, granularity="atomic")
+    fair = FairPolicy()
+    while len(explore_module._next_choices(sim)) < 3:
+        sim.apply(fair.next_decision(sim))
+    choices = explore_module._ordered(explore_module._next_choices(sim))
+    keys = [sim.choice_key(c) for c in choices]
+    assert len(set(keys)) == len(keys) and None not in keys
+    fingerprint = sim.fingerprint()
+
+    def meet(stored, sleep):
+        stack, seen = [], {fingerprint: frozenset(stored)}
+        descent = explore_module._Descent(stack, seen, frozenset(sleep))
+        return descent.next_decision(sim.clone()), descent.stopped, stack, seen[fingerprint]
+
+    assert meet(keys[:2], keys)[:3] == (None, "revisit", [])
+    decision, stopped, stack, entry = meet(keys[:2], keys[1:])
+    assert (decision, stopped, stack, entry) == (choices[0], None, [], frozenset(keys[1:2]))
+    decision, stopped, stack, entry = meet(keys, [])
+    assert decision == choices[0] and stopped is None and entry == frozenset()
+    assert len(stack) == len(choices) - 1
+
+
 def test_dropped_clone_recreates_no_generator(monkeypatch):
     """A clone re-creates a live handler's generator only when it first
     resumes that handler: a dropped clone re-creates none, and one step
@@ -606,20 +634,69 @@ def test_fingerprint_keys_the_canonical_state():
 
     sim = Simulation(scen.config, variant, scen, granularity="atomic")
     fair = FairPolicy()
-    while sim.decided_count == 0:
+    while not sim.responses:
         sim.apply(fair.next_decision(sim))
     assert not sim.all_decided()
     key = sim.fingerprint()
-    response = next(i for i, s in enumerate(sim.steps) if s.kind == "response" and s.outcome)
     changed = sim.clone()
-    old = changed.steps[response]
-    changed.steps[response] = replace(old, fields={**old.fields, "readSet": [["X1", "other"]]})
+    old = changed.responses[0]
+    changed.responses[0] = replace(old, fields={**old.fields, "readSet": [["X1", "other"]]})
     assert changed.fingerprint() != key
     changed = sim.clone()
     handler = next(p.handler for p in changed.procs.values() if p.handler and p.handler.sent)
     handler.sent[0] = "other"
     assert changed.fingerprint() != key
     assert sim.clone().fingerprint() == key
+
+
+def test_fingerprint_ignores_timer_ages():
+    """A timer's age is not in the state, since the explorer fires a timer
+    only when nothing else is enabled; whether a timer is armed is."""
+    scen, variant = get_scenario("fids-replicated"), AlgorithmVariant("no-seamless")
+    sim = Simulation(scen.config, variant, scen, granularity="atomic")
+    fair = FairPolicy()
+    while not sim.has_armed_timer():
+        sim.apply(fair.next_decision(sim))
+    key = sim.fingerprint()
+    older = sim.clone()
+    for _ in range(3):
+        older.apply(Decision("tick"))
+    assert older.fingerprint() == key
+    unarmed = sim.clone()
+    (timer,) = unarmed.armed_timers()
+    handler = unarmed.procs[timer.proc].handler
+    handler.waiting = replace(handler.waiting, timeout=None)
+    assert unarmed.fingerprint() != key
+
+
+def test_timeout_fallback_terminals_replay(monkeypatch):
+    """On solo-r1 a crash leaves no-seamless validation waiting for the
+    crashed node, so the coordinator's timer fires once nothing else is
+    enabled, and the run takes the restart fallback. Such a terminal's
+    schedule holds the ticks up to the timer's expiry, and it replays
+    through engine.run to the terminal's history."""
+    terminals = []
+    record = explore_module._Collector.record
+
+    def recorded(self, steps, schedule):
+        history = derive_history(ExecutionTrace(steps, scenario=self.scenario)).canonical()
+        terminals.append((history, schedule()))
+        return record(self, steps, schedule)
+
+    monkeypatch.setattr(explore_module._Collector, "record", recorded)
+    scen, variant = get_scenario("solo-r1"), AlgorithmVariant("no-seamless")
+    res = explore_exhaustive(variant, scen, bound=200, on_terminal=lambda schedule: None)
+    assert len(terminals) == res.terminals
+    fallbacks = 0
+    for history, schedule in terminals:
+        trace = run(scen.config, variant, scen, schedule).trace
+        assert derive_history(trace).canonical() == history
+        timeouts = [s for s in trace.steps if s.kind == NOTE and s.tag == "timeout"]
+        restarts = [s for s in trace.steps if s.kind == SEND and s.payload["kind"] == "restart"]
+        if timeouts and restarts:
+            assert any(d.t == "tick" for d in schedule.decisions)
+            fallbacks += 1
+    assert fallbacks > 0
 
 
 def test_invisible_atomic_steps_run_no_primitive():

@@ -159,9 +159,9 @@ def test_no_ddap_fids_contends_on_global_lock():
 
 def _stateless_histories(variant, scen) -> set[str]:
     """Reference for the visited-state cache: the explorer's DFS with its
-    invisible-step reduction and no cache, so it runs every interleaving of
-    the frontiers to a terminal."""
-    from pdtsim.explore import GRANULARITY, _next_choices
+    invisible-step reduction and timer model and no cache, so it runs every
+    interleaving of the frontiers to a terminal."""
+    from pdtsim.explore import GRANULARITY, _next_choices, _take
     from pdtsim.model import ExecutionTrace
 
     histories, stack = set(), [Simulation(scen.config, variant, scen, granularity=GRANULARITY)]
@@ -170,28 +170,72 @@ def _stateless_histories(variant, scen) -> set[str]:
         while not sim.all_decided() and (choices := _next_choices(sim)):
             for choice in choices[1:]:
                 alternative = sim.clone()
-                alternative.apply(choice)
+                alternative.apply(_take(alternative, choice))
                 stack.append(alternative)
-            sim.apply(choices[0])
+            sim.apply(_take(sim, choices[0]))
         histories.add(derive_history(ExecutionTrace(sim.steps, scenario=scen)).canonical())
     return histories
 
 
-@pytest.mark.parametrize("writes", [
-    ([], []),
-    ([("X", "always", 1)], [("X", "always", 2)]),
-], ids=["readers", "writers"])
+def _cached_search(variant, scen) -> tuple[int, set[str], set[str]]:
+    """Reference for the sleep sets: the explorer's DFS with its
+    invisible-step reduction, timer model and visited-state cache, and no
+    sleep sets. Returns the states it expands, its histories and the
+    violating ones among them."""
+    from pdtsim.explore import GRANULARITY, _next_choices, _take
+    from pdtsim.model import ExecutionTrace
+
+    seen, histories, violating = set(), set(), set()
+    stack = [Simulation(scen.config, variant, scen, granularity=GRANULARITY)]
+    while stack:
+        sim = stack.pop()
+        while not sim.all_decided() and (choices := _next_choices(sim)):
+            if len(choices) > 1:
+                key = sim.fingerprint()
+                if key in seen:
+                    break
+                seen.add(key)
+            for choice in choices[1:]:
+                alternative = sim.clone()
+                alternative.apply(_take(alternative, choice))
+                stack.append(alternative)
+            sim.apply(_take(sim, choices[0]))
+        else:
+            history = derive_history(ExecutionTrace(sim.steps, scenario=scen))
+            histories.add(history.canonical())
+            if not check_serializability(history).passed:
+                violating.add(history.canonical())
+    return len(seen), histories, violating
+
+
+def _two_writers_scenario(writes, initial=None):
+    from conftest import make_scenario
+
+    return make_scenario(
+        {"X": initial}, {"X": [0]}, 1, 0,
+        [("t1", 0, ["X"], writes[0]), ("t2", 1, ["X"], writes[1])],
+        procs=2,
+    )
+
+
+TWO_TXN_WRITES = [([], []), ([("X", "always", 1)], [("X", "always", 2)])]
+
+
+@pytest.mark.parametrize("writes", TWO_TXN_WRITES, ids=["readers", "writers"])
 def test_exploration_expands_each_state_once(base, monkeypatch, writes):
     # A scenario small enough to exhaust without the cache, too. Each frontier
-    # state is expanded once: every other run that meets it stops there. Each
-    # untried alternative costs one clone, so a complete search clones once
-    # per run after the first, and it reaches exactly the stateless search's
-    # histories.
-    from conftest import make_scenario
-    from pdtsim.explore import explore_exhaustive
+    # state is stored once. A run that meets a stored state stops there (a
+    # revisit) unless its sleep set misses a choice that slept when the
+    # state was stored; it then tries those choices only (a re-expansion).
+    # Each untried alternative costs one clone, so a complete search clones
+    # once per run after the first. Runs are terminals, revisits and
+    # sleep-blocked runs, and the search reaches exactly the stateless
+    # search's histories.
+    from pdtsim import explore as explore_module
 
-    clones, keys = 0, []
+    clones, keys, reexpansions = 0, [], 0
     clone, fingerprint = Simulation.clone, Simulation.fingerprint
+    next_decision = explore_module._Descent.next_decision
 
     def counted(self):
         nonlocal clones
@@ -202,24 +246,60 @@ def test_exploration_expands_each_state_once(base, monkeypatch, writes):
         keys.append(fingerprint(self))
         return keys[-1]
 
+    def traced(self, sim):
+        nonlocal reexpansions
+        taken, stored = len(keys), len(self.seen)
+        decision = next_decision(self, sim)
+        if len(keys) > taken and len(self.seen) == stored and self.stopped is None:
+            reexpansions += 1
+        return decision
+
     monkeypatch.setattr(Simulation, "clone", counted)
     monkeypatch.setattr(Simulation, "fingerprint", recorded)
+    monkeypatch.setattr(explore_module._Descent, "next_decision", traced)
 
-    scen = make_scenario(
-        {"X": None}, {"X": [0]}, 1, 0,
-        [("t1", 0, ["X"], writes[0]), ("t2", 1, ["X"], writes[1])],
-        procs=2,
-    )
+    scen = _two_writers_scenario(writes)
     seen = []
-    res = explore_exhaustive(
+    res = explore_module.explore_exhaustive(
         base, scen, bound=100000,
         on_terminal=lambda sched: seen.append(json.dumps(sched.to_json(), sort_keys=True)),
     )
     assert res.complete
     assert res.terminals == len(seen) == len(set(seen)) > 1
-    assert len(keys) == res.states + res.revisits and len(set(keys)) == res.states
+    assert len(set(keys)) == res.states
+    assert len(keys) == res.states + res.revisits + reexpansions
     assert clones == res.schedules_run - 1
     assert set(res.terminal_histories) == _stateless_histories(base, scen)
+
+
+def _sleep_set_spaces():
+    """The spaces whose sleep-set search must match the cache-only one."""
+    fids = get_scenario("fids")
+    for tag in ("base", "no-fast", "weak-ir", "no-ddap"):
+        yield pytest.param(AlgorithmVariant(tag), fids, id=f"fids/{tag}")
+    yield pytest.param(AlgorithmVariant("no-seamless"), get_scenario("fids-replicated"),
+                       id="fids-replicated/no-seamless")
+    for writes, name in zip(TWO_TXN_WRITES, ("readers", "writers")):
+        yield pytest.param(AlgorithmVariant("base"), _two_writers_scenario(writes), id=name)
+    # Values that are JSON arrays and objects: handler keys that hash() rejects.
+    json_writes = ([("X", "always", [2])], [("X", "always", {"a": 3})])
+    yield pytest.param(AlgorithmVariant("base"), _two_writers_scenario(json_writes, [1]),
+                       id="json-values")
+
+
+@pytest.mark.parametrize("variant, scen", list(_sleep_set_spaces()))
+def test_sleep_sets_keep_states_histories_and_violations(variant, scen):
+    """Sleep sets prune only runs: the complete search stores the same
+    states, and reaches the same histories and violations, as the search
+    with the cache alone."""
+    from pdtsim.explore import explore_exhaustive
+
+    states, histories, violating = _cached_search(variant, scen)
+    res = explore_exhaustive(variant, scen, bound=10**6)
+    assert res.complete
+    assert res.states == states
+    assert set(res.terminal_histories) == histories
+    assert {v["history"] for v in res.violations} == violating
 
 
 def test_cli_matrix(matrix_report):
