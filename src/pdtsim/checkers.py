@@ -30,6 +30,10 @@ from .model import (
     txn_depth,
 )
 
+# Seeded random completion attempts the seamless-ft sweep makes per injected
+# crash after the fair one, before it reports a caveated fail.
+SEAMLESS_COMPLETIONS = 64
+
 
 @dataclass
 class Verdict:
@@ -480,12 +484,12 @@ def check_seamless_ft(
     scenario,
     schedule: Schedule,
     s: int,
-    completions: int = 64,
 ) -> Verdict:
     """Inject one extra crash at every prefix position of the base run and
     search for a completion with identical coordinator invocation/response
     sequence and unchanged per-transaction depths. The search is a sound pass
-    and a caveated fail: fair delivery first, then seeded completions."""
+    and a caveated fail: fair delivery first, then SEAMLESS_COMPLETIONS seeded
+    random ones."""
     if s < 0:
         raise ValueError(f"the seamless-ft crash budget (--s) must be at least 0, got {s}")
     if s == 0:
@@ -523,7 +527,7 @@ def check_seamless_ft(
             crash = engine.Decision("crash", node=node)
             injected = sim.clone()
             injected.apply(crash)
-            for attempt in range(completions + 1):
+            for attempt in range(SEAMLESS_COMPLETIONS + 1):
                 trial = injected.clone()
                 policy = engine.RandomPolicy(attempt) if attempt else engine.FairPolicy()
                 engine.drive(trial, engine.UntilDecided(policy))

@@ -84,8 +84,12 @@ nothing is enabled: a terminal. Its steps then hold every coordinator
 response, so they give the terminal's history; the rest of the run could
 change no response. The fair policy drives a terminal to quiescence only
 when its decision list is needed: for the schedule of a violation seen for
-the first time, or for on_terminal. Random mode stops each sample at the
-same point.
+the first time. Random mode stops each sample at the same point.
+
+The result keeps the counts of the search, which every reduction of runs
+moves, apart from the facts of the space, in its "search" object. A
+violation's schedule is the first violating run in DFS order, so it moves
+with the search too.
 """
 from __future__ import annotations
 
@@ -131,17 +135,17 @@ class ExplorationResult:
         return self.schedules_run - self.revisits - self.sleep_blocked
 
     def to_json(self) -> dict:
-        out = {
+        search = {"runs": self.schedules_run}
+        if self.states is not None:
+            search.update(states=self.states, terminals=self.terminals,
+                          revisits=self.revisits, sleepBlocked=self.sleep_blocked)
+        return {
             "mode": self.mode,
-            "schedulesRun": self.schedules_run,
             "complete": self.complete,
             "terminalHistories": self.terminal_histories,
             "violations": self.violations,
+            "search": search,
         }
-        if self.states is not None:
-            out.update(states=self.states, revisits=self.revisits,
-                       sleepBlocked=self.sleep_blocked, terminals=self.terminals)
-        return out
 
 
 class _Collector:
@@ -151,23 +155,18 @@ class _Collector:
         self.violations: dict[str, dict] = {}  # by history, in first-seen order
 
     def record(self, steps: list[Step], schedule: Callable[[], Schedule]) -> None:
-        """Count the history of a terminal's steps; schedule() is called only
+        """Record the history of a terminal's steps; schedule() is called only
         for a violating history seen for the first time."""
         history = derive_history(ExecutionTrace(steps, scenario=self.scenario))
         key = history.canonical()
         if key not in self.verdicts:
             self.verdicts[key] = check_serializability(history)
         verdict = self.verdicts[key]
-        if verdict.passed:
-            return
-        if key in self.violations:
-            self.violations[key]["schedulesMatching"] += 1
-        else:
+        if not verdict.passed and key not in self.violations:
             self.violations[key] = {
                 "history": key,
                 "witness": verdict.witness,
                 "schedule": schedule().to_json(),
-                "schedulesMatching": 1,
             }
 
     def result(self, runs: int, complete: bool, mode: str,
@@ -309,7 +308,6 @@ def explore_exhaustive(
     variant,
     scenario: Scenario,
     bound: int = DEFAULT_EXHAUSTIVE_BOUND,
-    on_terminal=None,
 ) -> ExplorationResult:
     collector = _Collector(scenario)
     stack = [(Simulation(scenario.config, variant, scenario, granularity=GRANULARITY), _AWAKE)]
@@ -329,12 +327,7 @@ def explore_exhaustive(
         # The stack holds only clones, so the fair tail may finish the
         # stopped sim in place; it changes no response, so the history is
         # the same whether it ran or not.
-        if on_terminal is not None:
-            schedule = _finished(sim)
-            on_terminal(schedule)
-            collector.record(sim.steps, lambda: schedule)
-        else:
-            collector.record(sim.steps, lambda: _finished(sim))
+        collector.record(sim.steps, lambda: _finished(sim))
     return collector.result(runs, not stack, "exhaustive", len(seen), revisits, sleep_blocked)
 
 

@@ -25,7 +25,7 @@ from typing import Any, Iterator
 from .engine import TIMEOUT, EmitNote, PrimOp, SendMsg, SimConfig, WaitRecv
 from .errors import MalformedInput, PlacementError
 from .memory import GLOBAL_LOCK
-from .model import VALUE_LEARNED, TransactionProgram, json_int, json_object
+from .model import VALUE_LEARNED, TransactionProgram, json_object
 
 BASE = "base"
 NO_FAST = "no-fast"
@@ -41,23 +41,20 @@ READ_RETRY_BOUND = 8  # attempts before a node answers an abort vote
 @dataclass(frozen=True)
 class AlgorithmVariant:
     tag: str
-    timeout_ticks: int | None = None  # no-seamless fallback trigger; default 4*delta
 
     def __post_init__(self):
         if self.tag not in VARIANTS:
             raise ValueError(f"unknown algorithm variant {self.tag!r}")
-        if self.timeout_ticks is not None and self.timeout_ticks < 1:
-            raise ValueError(f"timeoutTicks must be at least 1, got {self.timeout_ticks}")
 
     def to_json(self) -> dict:
-        return {"tag": self.tag, "timeoutTicks": self.timeout_ticks}
+        return {"tag": self.tag}
 
     @staticmethod
     def from_json(d: dict) -> "AlgorithmVariant":
         d = json_object(d, "algorithm")
         if type(d.get("tag")) is not str:
             raise MalformedInput(f"algorithm field 'tag' must be a string, not {d.get('tag')!r}")
-        return AlgorithmVariant(d["tag"], json_int(d, "timeoutTicks", "algorithm"))
+        return AlgorithmVariant(d["tag"])
 
 
 def pmsg(kind: str, body: dict) -> dict:
@@ -73,7 +70,10 @@ class ProtocolEnv:
         self.config = config
         self.placement = scenario.placement
         self.all_nodes = list(range(config.n_nodes))
-        self.timeout_ticks = variant.timeout_ticks or 4 * config.delta
+        # How long no-seamless validation waits before its restart fallback.
+        # SimConfig requires delta >= 1, so it exceeds delta: the fallback
+        # never fires in a synchronous run without a real crash.
+        self.validation_timeout = 4 * config.delta
         if variant.tag == NO_SEAMLESS:
             everywhere = tuple(self.all_nodes)
             for item, grp in self.placement.groups.items():
@@ -82,13 +82,6 @@ class ProtocolEnv:
                         "no-seamless requires a replicated-unsharded placement; "
                         f"item {item!r} is not on every node"
                     )
-            if config.gst == 0 and self.timeout_ticks <= config.delta:
-                # The fallback must never fire in a synchronous run without a
-                # real crash.
-                raise PlacementError(
-                    f"no-seamless timeout {self.timeout_ticks} must exceed delta "
-                    f"{config.delta} in synchronous configurations"
-                )
 
     @property
     def quorum(self) -> int:
@@ -281,7 +274,7 @@ def _validation(env: ProtocolEnv, tid, reads, writes):
     items = [k for k, _ in reads] + [k for k, _ in writes]
     total_needed = timeout = None
     if env.variant.tag == NO_SEAMLESS:
-        total_needed, timeout = len(contact), env.timeout_ticks
+        total_needed, timeout = len(contact), env.validation_timeout
     elif env.variant.tag == NO_DDAP and writes:
         total_needed = env.config.n_nodes - env.placement.f
     outcome, seqs = yield from _round(

@@ -27,6 +27,26 @@ def admitted_pairs():
             yield scen, variant
 
 
+def terminal_schedules(monkeypatch) -> list:
+    """Make the exhaustive explorer drive every terminal to quiescence and
+    return the list it appends each terminal's (history, schedule) to, in the
+    order the search reaches them."""
+    from pdtsim import explore as explore_module
+    from pdtsim.model import ExecutionTrace, derive_history
+
+    terminals = []
+    record = explore_module._Collector.record
+
+    def recorded(self, steps, schedule):
+        finished = schedule()
+        history = derive_history(ExecutionTrace(steps, scenario=self.scenario)).canonical()
+        terminals.append((history, finished))
+        return record(self, steps, lambda: finished)
+
+    monkeypatch.setattr(explore_module._Collector, "record", recorded)
+    return terminals
+
+
 @pytest.fixture
 def base():
     return AlgorithmVariant("base")

@@ -26,6 +26,7 @@ from pdtsim.protocols import AlgorithmVariant, VARIANTS
 from pdtsim.scenarios import (
     crash_injected_solo_schedule,
     fids_schedule,
+    get_scenario,
     rfids_schedule,
     scenario_fids,
     scenario_rfids,
@@ -113,7 +114,7 @@ def test_c3_property_matrix(matrix_report):
     # The serializability PASS of each variant on fids rests on its whole space.
     for variant in ("no-fast", "weak-ir", "no-ddap"):
         assert cells[variant]["serializability"]["evidence"].startswith(
-            "complete exploration of fids ("), variant
+            "complete exploration of fids: "), variant
     _ok("3 property-matrix (5 variants x 7 properties, witnesses replayable)")
 
 
@@ -132,15 +133,15 @@ def test_c4_fast_decision_depths(base):
     _ok("4 fast-decision depths (base 2r+2 and bound met; no-fast over by exactly 2)")
 
 
-def test_c5_seamless_ft_sweep(base):
+def test_c5_seamless_ft_sweep(base, monkeypatch):
     scen = scenario_solo(1)
     verdict = check_seamless_ft(scen.config, base, scen, Schedule("fair"), s=1)
     assert verdict.passed
     assert verdict.details["injectionsTried"] >= 3 * 10
 
+    monkeypatch.setattr("pdtsim.checkers.SEAMLESS_COMPLETIONS", 4)
     verdict = check_seamless_ft(
         scen.config, AlgorithmVariant("no-seamless"), scen, Schedule("fair"), s=1,
-        completions=4,
     )
     assert not verdict.passed
     _ok("5 seamless-ft sweep (base unchanged everywhere; no-seamless fails)")
@@ -166,13 +167,15 @@ def test_c7_exhaustive_exploration(matrix_report):
     # exhaustive exploration at the default bound, complete on fids and on
     # fids-replicated.
     cells = matrix_report["json"]["cells"]
-    for tag, evidence in (("no-fast", "complete exploration of fids ("),
-                          ("weak-ir", "complete exploration of fids ("),
-                          ("no-ddap", "complete exploration of fids ("),
-                          ("no-seamless", "complete exploration of fids-replicated (5505 states, ")):
+    for tag, evidence in (("no-fast", "complete exploration of fids: "),
+                          ("weak-ir", "complete exploration of fids: "),
+                          ("no-ddap", "complete exploration of fids: "),
+                          ("no-seamless", "complete exploration of fids-replicated: ")):
         cell = cells[tag]["serializability"]
         assert cell["evidence"].startswith(evidence), tag
         assert cell["pass"] and cell["witness"] is None, tag
+    replicated = explore(get_scenario("fids-replicated"), AlgorithmVariant("no-seamless"))
+    assert replicated.complete and replicated.states == 5505
     _ok("7 exploration (base >= 1 violation, complete; all four variants 0)")
 
 

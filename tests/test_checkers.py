@@ -398,12 +398,10 @@ def test_seamless_ft_requires_budget(base):
     assert not v.passed and "f=0" in v.witness["reason"]
 
 
-def test_seamless_ft_witness_replays(base):
+def test_seamless_ft_witness_replays(base, monkeypatch):
+    monkeypatch.setattr("pdtsim.checkers.SEAMLESS_COMPLETIONS", 2)
     scen = scenario_solo(1)
-    v = check_seamless_ft(
-        scen.config, AlgorithmVariant("no-seamless"), scen, Schedule("fair"), s=1,
-        completions=2,
-    )
+    v = check_seamless_ft(scen.config, AlgorithmVariant("no-seamless"), scen, Schedule("fair"), s=1)
     assert not v.passed
     sched = Schedule.from_json(v.witness["schedule"])
     res = run(scen.config, AlgorithmVariant("no-seamless"), scen, sched)
@@ -413,14 +411,15 @@ def test_seamless_ft_witness_replays(base):
     assert v.witness["injectedDepths"]["t1"] != v.witness["baseDepths"]["t1"]
 
 
-def test_seamless_ft_witness_after_a_prefix_replays():
+def test_seamless_ft_witness_after_a_prefix_replays(monkeypatch):
     # no-ddap's writers contend on the node lock. In this run w1 commits,
     # then w2 aborts; a crash of node 1 after 9 decisions makes w2 respond
     # first under the fair completion and two seeded ones. Crashes earlier in
     # the run are seamless.
     scen, variant = scenario_disjoint_writers(), AlgorithmVariant("no-ddap")
     base_run = run(scen.config, variant, scen, Schedule("random", seed=1))
-    v = check_seamless_ft(scen.config, variant, scen, Schedule("random", seed=1), s=1, completions=2)
+    monkeypatch.setattr("pdtsim.checkers.SEAMLESS_COMPLETIONS", 2)
+    v = check_seamless_ft(scen.config, variant, scen, Schedule("random", seed=1), s=1)
     assert not v.passed and (v.witness["prefix"], v.witness["node"]) == (9, 1)
     assert v.witness["signatureChanged"]
     sched = Schedule.from_json(v.witness["schedule"])

@@ -21,12 +21,12 @@ from pdtsim.engine import (
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim import explore as explore_module
 from pdtsim.explore import explore, explore_exhaustive, explore_random
-from pdtsim.model import NOTE, PRIM, RECV, SEND, ExecutionTrace, ProcessRef, derive_history, txn_depth
+from pdtsim.model import NOTE, PRIM, RECV, SEND, ProcessRef, derive_history, txn_depth
 from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
 
-from conftest import EXPLORED_SCENARIOS, Driver, admitted_pairs, make_scenario
+from conftest import EXPLORED_SCENARIOS, Driver, admitted_pairs, make_scenario, terminal_schedules
 
 
 def _serialize(trace):
@@ -391,15 +391,17 @@ def test_clone_continues_identically():
 
 # Taken when the exhaustive search first combined sleep sets with its
 # visited-state cache and fired timers only when nothing else was enabled.
-GOLDEN_EXPLORATION_SHA256 = "686add48410446c5016cbb8d3c499c6c2f3cb66cf8baea1c0bf3650e40cbddab"
 GOLDEN_SCHEDULE_ORDER_SHA256 = "dd517b1ef778aa8772fb5f3d3965788703172ea22a7c60a72624a0bf5db9cc8b"
-GOLDEN_MATRIX_JSON_SHA256 = "5fe57d1eb4fd8bf9e8678eca37d0c6584bb3da3f4233acc0a30354672b6531a1"
-GOLDEN_VIOLATION_EXPLORATION_SHA256 = "208fe6e978c9808777e03770fbd463afecc15936d0b918a341e77d75f8646ae1"
+# Taken when the search counts moved into the result's "search" object, which
+# the exploration pins leave out, and the matrix evidence came to name the
+# histories of the explored space.
+GOLDEN_EXPLORATION_SHA256 = "221c41b97ff470b7aa9d1fa3731e0b3a035afc926b2be3131a783c71df826193"
+GOLDEN_VIOLATION_EXPLORATION_SHA256 = "0283bcbb11b99a18b6d943bbed7cb19697ee12ed386785d5c62cd66ac2840303"
+GOLDEN_RANDOM_EXPLORATION_SHA256 = "b53c9286235863fe28c21b5883645104073c1e5ec4a199d3bc3d7aac2fd27f5d"
+GOLDEN_MATRIX_JSON_SHA256 = "52d73f237bcbfb78034372716b30305a4d66b57cd00105ead663db31f0cb8db1"
 # Taken before the explorer backtracked from snapshots, when every schedule
 # replayed its prefix from the initial state.
 GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
-# Taken when each random sample still ran to quiescence through engine.run.
-GOLDEN_RANDOM_EXPLORATION_SHA256 = "98e3a1f7b87348ceb37f44a3ec9d345da4843037cc5a5d80272712b3528d5af1"
 
 
 @pytest.fixture(scope="module")
@@ -421,29 +423,41 @@ def violation_exploration():
     return fids, base, explore(fids, base, mode="exhaustive", max_schedules=4000)
 
 
-def test_golden_exploration_corpus(golden_explorations):
+def _space_json(res, schedules: bool = True) -> str:
+    """The result JSON less its "search" counts, which measure the search
+    rather than the explored space. With schedules=False, less each
+    violation's schedule too: the first violating run in DFS order, which
+    also moves with the search."""
+    out = res.to_json()
+    del out["search"]
+    if not schedules:
+        for v in out["violations"]:
+            del v["schedule"]
+    return dumps_canonical(out)
+
+
+def test_golden_exploration_corpus(golden_explorations, monkeypatch):
     """The golden explorations' result JSON, and for fids/base the sequence
     of terminal schedules, must not change by one byte."""
     digest = hashlib.sha256()
     for _, _, res in golden_explorations:
-        digest.update(dumps_canonical(res.to_json()).encode() + b"\n")
+        digest.update(_space_json(res).encode() + b"\n")
     assert len(golden_explorations) == 14
     assert digest.hexdigest() == GOLDEN_EXPLORATION_SHA256
 
-    scen, order = get_scenario("fids"), hashlib.sha256()
-    explore_exhaustive(
-        AlgorithmVariant("base"), scen, bound=300,
-        on_terminal=lambda sched: order.update(dumps_canonical(sched.to_json()).encode() + b"\n"),
-    )
+    terminals = terminal_schedules(monkeypatch)
+    explore_exhaustive(AlgorithmVariant("base"), get_scenario("fids"), bound=300)
+    order = hashlib.sha256()
+    for _, schedule in terminals:
+        order.update(dumps_canonical(schedule.to_json()).encode() + b"\n")
     assert order.hexdigest() == GOLDEN_SCHEDULE_ORDER_SHA256
 
 
 def test_golden_violation_exploration(violation_exploration):
-    """The violating history with its witness, schedule and
-    schedulesMatching, byte for byte."""
+    """The violating history with its witness and schedule, byte for byte."""
     _, _, res = violation_exploration
     assert len(res.violations) == 1
-    digest = hashlib.sha256(dumps_canonical(res.to_json()).encode()).hexdigest()
+    digest = hashlib.sha256(_space_json(res).encode()).hexdigest()
     assert digest == GOLDEN_VIOLATION_EXPLORATION_SHA256
 
 
@@ -454,7 +468,7 @@ def test_golden_random_exploration():
     for scen, variant in admitted_pairs():
         if scen.name in EXPLORED_SCENARIOS:
             res = explore(scen, variant, mode="random", max_schedules=50, seed=3)
-            digest.update(dumps_canonical(res.to_json()).encode() + b"\n")
+            digest.update(_space_json(res).encode() + b"\n")
             pairs += 1
     assert pairs == 14
     assert digest.hexdigest() == GOLDEN_RANDOM_EXPLORATION_SHA256
@@ -486,8 +500,8 @@ def test_violation_schedules_replay(golden_explorations, violation_exploration):
 
 
 def test_exploration_stops_runs_without_the_fair_tail(monkeypatch):
-    """Without on_terminal, only a first-seen violation drives the fair tail,
-    and fids/no-fast has none in its whole space."""
+    """Only a first-seen violation drives the fair tail, and fids/no-fast
+    has none in its whole space."""
     calls = 0
     next_decision = FairPolicy.next_decision
 
@@ -526,7 +540,8 @@ def _violating(res) -> set[str]:
 def test_complete_search_is_independent_of_frontier_order(complete_fids_searches, monkeypatch):
     """Each state is expanded once, so the order of a frontier's choices
     decides only which path reaches a state first: reversing it gives the
-    same states and the same histories."""
+    same states and a result JSON that differs only in the search counts and
+    the violations' schedules."""
     ordered = explore_module._ordered
     monkeypatch.setattr(explore_module, "_ordered", lambda choices: ordered(choices)[::-1])
     fids = get_scenario("fids")
@@ -534,8 +549,7 @@ def test_complete_search_is_independent_of_frontier_order(complete_fids_searches
         reversed_res = explore_exhaustive(AlgorithmVariant(tag), fids)
         assert res.complete and reversed_res.complete, tag
         assert res.states == reversed_res.states == FIDS_STATES[tag], tag
-        assert reversed_res.terminal_histories == res.terminal_histories, tag
-        assert _violating(reversed_res) == _violating(res), tag
+        assert _space_json(reversed_res, schedules=False) == _space_json(res, schedules=False), tag
     assert len(complete_fids_searches["base"].violations) == 1
 
 
@@ -675,17 +689,9 @@ def test_timeout_fallback_terminals_replay(monkeypatch):
     enabled, and the run takes the restart fallback. Such a terminal's
     schedule holds the ticks up to the timer's expiry, and it replays
     through engine.run to the terminal's history."""
-    terminals = []
-    record = explore_module._Collector.record
-
-    def recorded(self, steps, schedule):
-        history = derive_history(ExecutionTrace(steps, scenario=self.scenario)).canonical()
-        terminals.append((history, schedule()))
-        return record(self, steps, schedule)
-
-    monkeypatch.setattr(explore_module._Collector, "record", recorded)
+    terminals = terminal_schedules(monkeypatch)
     scen, variant = get_scenario("solo-r1"), AlgorithmVariant("no-seamless")
-    res = explore_exhaustive(variant, scen, bound=200, on_terminal=lambda schedule: None)
+    res = explore_exhaustive(variant, scen, bound=200)
     assert len(terminals) == res.terminals
     fallbacks = 0
     for history, schedule in terminals:

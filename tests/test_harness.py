@@ -231,6 +231,7 @@ def test_exploration_expands_each_state_once(base, monkeypatch, writes):
     # once per run after the first. Runs are terminals, revisits and
     # sleep-blocked runs, and the search reaches exactly the stateless
     # search's histories.
+    from conftest import terminal_schedules
     from pdtsim import explore as explore_module
 
     clones, keys, reexpansions = 0, [], 0
@@ -258,12 +259,10 @@ def test_exploration_expands_each_state_once(base, monkeypatch, writes):
     monkeypatch.setattr(Simulation, "fingerprint", recorded)
     monkeypatch.setattr(explore_module._Descent, "next_decision", traced)
 
+    terminals = terminal_schedules(monkeypatch)
     scen = _two_writers_scenario(writes)
-    seen = []
-    res = explore_module.explore_exhaustive(
-        base, scen, bound=100000,
-        on_terminal=lambda sched: seen.append(json.dumps(sched.to_json(), sort_keys=True)),
-    )
+    res = explore_module.explore_exhaustive(base, scen, bound=100000)
+    seen = [json.dumps(schedule.to_json(), sort_keys=True) for _, schedule in terminals]
     assert res.complete
     assert res.terminals == len(seen) == len(set(seen)) > 1
     assert len(set(keys)) == res.states
@@ -343,8 +342,10 @@ def test_trace_io_roundtrip(tmp_path, base):
 
 
 def test_cli_check_ignores_an_old_sidecar_config(tmp_path, capsys):
-    # Older sidecars carry a copy of the scenario's sim section as "config".
-    # The replay checkers read the scenario's, so the copy changes nothing.
+    # Older sidecars carry a copy of the scenario's sim section as "config",
+    # and the algorithm's "timeoutTicks". The replay checkers read the
+    # scenario's sim section, and the timeout is 4 * delta, so neither
+    # changes anything, whatever its value.
     out = tmp_path / "t.jsonl"
     assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
                  "--out", str(out)]) == 0
@@ -361,7 +362,9 @@ def test_cli_check_ignores_an_old_sidecar_config(tmp_path, capsys):
         return results
 
     new = checked()
-    sidecar.write_text(json.dumps({**meta, "config": meta["scenario"]["sim"]}))
+    old_algorithm = {**meta["algorithm"], "timeoutTicks": "x"}
+    sidecar.write_text(json.dumps({**meta, "config": meta["scenario"]["sim"],
+                                   "algorithm": old_algorithm}))
     assert checked() == new
     assert [code for code, _ in new] == [0, 0]
 
@@ -389,8 +392,23 @@ def test_cli_explore(tmp_path):
                  "--mode", "random", "--max", "30", "--seed", "1",
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schedulesRun"] == 30
+    assert payload["search"]["runs"] == 30
     assert payload["complete"] is False  # sampling never exhausts the space
+
+
+def test_outputs_keep_search_counts_in_search(tmp_path, capsys, matrix_report):
+    """An explore file states the space at its top level and the counts of
+    the search only in "search"; the matrix JSON holds no search bound."""
+    counts = {"exhaustive": {"runs", "states", "terminals", "revisits", "sleepBlocked"},
+              "random": {"runs"}}
+    for mode, search in counts.items():
+        out = tmp_path / f"{mode}.json"
+        assert main(["explore", "--scenario", "fids", "--algorithm", "base",
+                     "--mode", mode, "--max", "30", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"mode", "complete", "terminalHistories", "violations", "search"}
+        assert set(payload["search"]) == search
+    assert "exploreBound" not in matrix_report["json"]
 
 
 @pytest.mark.parametrize("mode, count", [("exhaustive", 0), ("random", 0), ("random", -2)])
@@ -501,8 +519,6 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("check", {**_RESPONSE, "writeSet": 5}),
     ("sidecar", [1]),
     ("algorithm", ["base"]),
-    ("algorithm", {"tag": "no-seamless", "timeoutTicks": "x"}),
-    ("algorithm", {"tag": "no-seamless", "timeoutTicks": 0}),
     ("step", {"i": "x"}),
     ("step", {"i": 7}),
     ("step", {"kind": "bogus"}),
@@ -514,7 +530,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "placement-node-twice", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
         "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
-        "timeout-str", "timeout-zero", "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int"])
+        "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document) + "\n")

@@ -145,16 +145,7 @@ def test_restart_handler_releases_locks():
 def test_no_seamless_timeout_exceeds_delta():
     scen = scenario_solo(1)
     env = ProtocolEnv(AlgorithmVariant("no-seamless"), scen, scen.config)
-    assert env.timeout_ticks > scen.config.delta
-
-
-def test_no_seamless_timeout_below_one_is_rejected():
-    # 0 once fell back to 4*delta without the check above; a negative value
-    # on an asynchronous scenario made every armed timer already expired.
-    for ticks in (0, -5):
-        with pytest.raises(ValueError, match="timeoutTicks"):
-            AlgorithmVariant("no-seamless", timeout_ticks=ticks)
-    assert AlgorithmVariant("no-seamless", timeout_ticks=1).timeout_ticks == 1
+    assert env.validation_timeout > scen.config.delta
 
 
 # ---------------------------------------------------------------------------
