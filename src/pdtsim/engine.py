@@ -156,7 +156,6 @@ class Decision:
     t: str  # "step" | "deliver" | "crash" | "tick"
     proc: ProcessRef | None = None  # step target
     msg: int | None = None  # deliver target
-    pin: int | None = None  # optional node-process index for deliver
     node: int | None = None  # crash target
 
     def to_json(self) -> dict:
@@ -165,8 +164,6 @@ class Decision:
             d["proc"] = self.proc.to_json()
         if self.msg is not None:
             d["msg"] = self.msg
-        if self.pin is not None:
-            d["pin"] = self.pin
         if self.node is not None:
             d["node"] = self.node
         return d
@@ -182,7 +179,6 @@ class Decision:
             d["t"],
             proc=ProcessRef.from_json(d["proc"]) if "proc" in d else None,
             msg=json_int(d, "msg", "decision"),
-            pin=json_int(d, "pin", "decision"),
             node=json_int(d, "node", "decision"),
         )
 
@@ -195,9 +191,10 @@ class Schedule:
     """Total control of nondeterminism; replaying the same schedule on the
     same (config, algorithm, scenario) yields a bit-identical trace.
 
-    Kinds: "scripted" replays a recorded decision list (optionally completing
-    with the fair policy), "random" is a seeded uniform policy, "fair" is the
-    deterministic default policy.
+    Kinds: "scripted" replays a recorded decision list and then finishes
+    with the fair policy, "random" is a seeded uniform policy, "fair" is the
+    deterministic default policy. A delivery to a node takes the node's first
+    idle process.
     """
 
     kind: str  # "scripted" | "random" | "fair"
@@ -205,14 +202,12 @@ class Schedule:
     seed: int | None = None
     granularity: str = "exact"  # "exact" | "atomic" (one step runs a handler section)
     tolerant: bool = False  # skip script decisions that are no longer enabled
-    complete: bool = True  # finish with the fair policy after the script ends
 
     def to_json(self) -> dict:
         d: dict[str, Any] = {"kind": self.kind, "granularity": self.granularity}
         if self.kind == "scripted":
             d["decisions"] = [x.to_json() for x in self.decisions]
             d["tolerant"] = self.tolerant
-            d["complete"] = self.complete
         if self.seed is not None:
             d["seed"] = self.seed
         return d
@@ -221,16 +216,15 @@ class Schedule:
     def from_json(d: dict) -> "Schedule":
         d = json_object(d, "schedule")
         decisions = json_list(d.get("decisions", []), "schedule field 'decisions'")
-        tolerant, complete = d.get("tolerant", False), d.get("complete", True)
-        if type(tolerant) is not bool or type(complete) is not bool:
-            raise MalformedInput(f"schedule fields 'tolerant' and 'complete' must be booleans: {d!r}")
+        tolerant = d.get("tolerant", False)
+        if type(tolerant) is not bool:
+            raise MalformedInput(f"schedule field 'tolerant' must be a boolean: {d!r}")
         return Schedule(
             d["kind"],
             [Decision.from_json(x) for x in decisions],
             json_int(d, "seed", "schedule"),
             d.get("granularity", "exact"),
             tolerant,
-            complete,
         )
 
 
@@ -247,14 +241,7 @@ def inject_crash(schedule: Schedule, node: int, after_step_index: int) -> Schedu
     pos = min(after_step_index, len(schedule.decisions))
     new = list(schedule.decisions)
     new.insert(pos, Decision("crash", node=node))
-    return Schedule(
-        "scripted",
-        new,
-        seed=schedule.seed,
-        granularity=schedule.granularity,
-        tolerant=True,
-        complete=True,
-    )
+    return Schedule("scripted", new, granularity=schedule.granularity, tolerant=True)
 
 
 # --------------------------------------------------------------------------
@@ -523,7 +510,7 @@ class Simulation:
         # Message ids only grow and entries are only ever deleted, so the
         # dict's insertion order is msg-id order.
         out += [m.deliver for m in self.inflight.values() if self._deliverable(m)]
-        if len(self.crashed) < self.scenario.crash_budget:
+        if len(self.crashed) < self.scenario.placement.f:
             out += [d for d in self._crash_choices if d.node not in self.crashed]
         return out
 
@@ -538,10 +525,7 @@ class Simulation:
         primitive: coordinators never touch memory, and node handlers never
         wait on a receive, so a node handler is one section, and one that
         touches memory starts with a primitive."""
-        proc = self.procs.get(ref)
-        if proc is None:
-            return False
-        h = proc.handler
+        h = self.procs[ref].handler
         if h is None:
             return True  # next step is an invocation
         if h.pending is None:
@@ -595,16 +579,13 @@ class Simulation:
                 return False
             if msg.dst[0] == "node" and msg.dst[1] in self.crashed:
                 return True  # applying it records the drop
-            if d.pin is not None and msg.dst[0] == "node":
-                p = self.procs.get(ProcessRef.node_proc(msg.dst[1], d.pin))
-                return p is not None and p.handler is None
             return self._deliverable(msg)
         if d.t == "crash":
             return (
                 d.node is not None
                 and 0 <= d.node < self.config.n_nodes
                 and d.node not in self.crashed
-                and len(self.crashed) < self.scenario.crash_budget
+                and len(self.crashed) < self.scenario.placement.f
             )
         return False
 
@@ -658,7 +639,7 @@ class Simulation:
         self.max_delivery_lag = max(self.max_delivery_lag, self.tick - msg.sent_tick)
         del self.inflight[msg.msg_id]
         if kind == "node":
-            proc = self._pick_node_proc(target, d.pin)
+            proc = self._pick_node_proc(target)
             self._log(RECV, proc.ref, msg.txn, msgId=msg.msg_id, payload=msg.payload)
             gen = self.env.node_handler(target, msg)
             proc.handler = _Handler(gen, msg.txn, coordinator=False, origin=msg)
@@ -678,13 +659,8 @@ class Simulation:
                 h.waiting = None
                 self._advance(proc, msg)
 
-    def _pick_node_proc(self, node: int, pin: int | None) -> _Proc:
-        procs = self._node_procs[node]
-        if pin is not None:
-            if not 0 <= pin < len(procs) or procs[pin].handler is not None:
-                raise ScheduleStuck(f"pinned process {node}/{pin} is not idle")
-            return procs[pin]
-        for proc in procs:
+    def _pick_node_proc(self, node: int) -> _Proc:
+        for proc in self._node_procs[node]:
             if proc.handler is None:
                 return proc
         raise ScheduleStuck(f"no idle process on node {node}")
@@ -692,10 +668,8 @@ class Simulation:
     def _apply_crash(self, node: int) -> None:
         if node in self.crashed:
             raise AlreadyCrashed(f"node {node} already crashed")
-        if len(self.crashed) >= self.scenario.crash_budget:
-            raise ScheduleStuck(
-                f"crash budget f={self.scenario.crash_budget} exhausted"
-            )
+        if len(self.crashed) >= self.scenario.placement.f:
+            raise ScheduleStuck(f"crash budget f={self.scenario.placement.f} exhausted")
         self.crashed.add(node)
         self._log(CRASH, None, None, node=node)
         for proc in self._node_procs[node]:
@@ -734,7 +708,7 @@ class Simulation:
           * per node: its processes' handler keys as a multiset (sorted), since
             node processes are interchangeable: a node handler depends only
             on (node, message), coordinators read only `src.node`, and a
-            delivery takes any idle process;
+            delivery takes any idle process (the engine takes the first);
           * in-flight messages as a sorted multiset of Message.canonical();
           * the crashed nodes, and the coordinator responses emitted so far,
             from which the history is derived.
@@ -887,8 +861,8 @@ class UntilDecided:
 
 class ScriptPolicy:
     """Replays a recorded decision list, optionally tolerating decisions that
-    no longer apply (used by crash-injected replays), optionally completing
-    the run with the fair policy."""
+    no longer apply (used by crash-injected replays), then completes the run
+    with the fair policy."""
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
@@ -905,9 +879,7 @@ class ScriptPolicy:
                 raise ScheduleStuck(f"scripted decision {d.to_json()} is not enabled")
             # Tolerant skip still consumes a tick so later timing lines up.
             return TICK
-        if self.schedule.complete:
-            return self.completion.next_decision(sim)
-        return None
+        return self.completion.next_decision(sim)
 
 
 def make_policy(schedule: Schedule):
@@ -928,7 +900,7 @@ def drive(sim: Simulation, policy) -> None:
 
 
 def run(config: SimConfig, variant, scenario, schedule: Schedule) -> RunResult:
-    """Run one execution to quiescence (or script exhaustion) and return its trace."""
+    """Run one execution to quiescence and return its trace."""
     sim = Simulation(config, variant, scenario, granularity=schedule.granularity)
     drive(sim, make_policy(schedule))
     return sim.result(schedule.to_json())

@@ -301,7 +301,7 @@ def _finished(sim: Simulation) -> Schedule:
     """Drive a stopped run to quiescence with the fair policy and return its
     decisions as a replayable schedule."""
     drive(sim, FairPolicy())
-    return Schedule("scripted", list(sim.decisions_taken), granularity=GRANULARITY, complete=False)
+    return Schedule("scripted", list(sim.decisions_taken), granularity=GRANULARITY)
 
 
 def explore_exhaustive(

@@ -18,7 +18,6 @@ from .engine import (
     SimConfig,
     Simulation,
     drive,
-    inject_crash,
 )
 from .errors import PlacementError
 from .model import DataPlacement, ProcessRef, TransactionProgram, json_list, json_object
@@ -32,9 +31,6 @@ class Scenario:
     placement: DataPlacement
     transactions: list[TransactionProgram]
     config: SimConfig
-    # Crashes the engine will allow; defaults to the placement's f. A scenario
-    # may raise it to crash nodes that hold none of its replicas.
-    crash_budget_override: int | None = None
 
     def __post_init__(self):
         ids = [t.txn_id for t in self.transactions]
@@ -52,12 +48,6 @@ class Scenario:
                     )
             if not (0 <= t.client < self.config.n_clients):
                 raise PlacementError(f"{t.txn_id} assigned to unknown client {t.client}")
-
-    @property
-    def crash_budget(self) -> int:
-        if self.crash_budget_override is not None:
-            return self.crash_budget_override
-        return self.placement.f
 
     def local_items(self, node: int) -> list[str]:
         return sorted(i for i, grp in self.placement.groups.items() if node in grp)
@@ -265,7 +255,9 @@ def build_counterexample_schedule(
     reply, so nobody learns its read value. Phase 2 releases those replies in
     txn order. The drain phase then delivers node-bound messages per the
     given per-node transaction priority, running each handler to completion,
-    with (txn, node) pairs in `blocked` never delivered at all.
+    with (txn, node) pairs in `blocked` never delivered at all; clients
+    receive the rest in txn order. Each delivery is the message's own
+    decision, so a node-bound one goes to the node's first idle process.
     """
     sim = Simulation(config, variant, scenario, granularity="exact")
     for t in scenario.transactions:
@@ -275,17 +267,13 @@ def build_counterexample_schedule(
     if missing := [t for t in txn_order if t not in client]:
         raise PlacementError(f"counterexample schedule needs transactions {', '.join(missing)}, "
                              f"which scenario {scenario.name!r} lacks")
-    pin = {t: i for i, t in enumerate(txn_order)}
+    txn_rank = {t: i for i, t in enumerate(txn_order)}
     quorum = scenario.placement.k - scenario.placement.f
     blocked = set(blocked)
     released = {t: 0 for t in txn_order}  # read replies delivered in phase 1
 
     def unblocked(msg) -> bool:
         return (msg.txn, msg.dst[1] if msg.dst[0] == "node" else msg.src.node) not in blocked
-
-    def deliver(msg) -> Decision:
-        node_pin = pin.get(msg.txn) if msg.dst[0] == "node" else None
-        return Decision("deliver", msg=msg.msg_id, pin=node_pin)
 
     def run_client(t: str) -> Iterator[Decision]:
         while sim._steppable(client[t]):
@@ -310,7 +298,7 @@ def build_counterexample_schedule(
             order = validate_order.get(msg.dst[1], txn_order)
             rank = order.index(msg.txn) if msg.txn in order else len(txn_order)
             return (0, msg.dst[1], rank, msg.msg_id)
-        return (1, pin.get(msg.txn, len(txn_order)), msg.msg_id)
+        return (1, txn_rank.get(msg.txn, len(txn_order)), msg.msg_id)
 
     def phases() -> Iterator[Decision]:
         # Phase 1: invoke everyone, serve reads, withhold the deciding replies.
@@ -321,7 +309,7 @@ def build_counterexample_schedule(
             msg = next((m for m in sim.inflight.values() if unblocked(m) and serves_read(m)), None)
             if msg is None:
                 break
-            yield deliver(msg)
+            yield msg.deliver
             if msg.dst[0] == "client":
                 released[msg.txn] += 1
 
@@ -330,7 +318,7 @@ def build_counterexample_schedule(
             for msg in list(sim.inflight.values()):
                 if (msg.txn == t and msg.dst[0] == "client" and unblocked(msg)
                         and msg.payload["kind"] == "readReply"):
-                    yield deliver(msg)
+                    yield msg.deliver
                     break
             yield from run_client(t)
 
@@ -346,7 +334,7 @@ def build_counterexample_schedule(
                 msg = min(pending, key=drain_key, default=None)
                 if msg is None:
                     return
-                yield deliver(msg)
+                yield msg.deliver
 
     drive(sim, _Yielded(phases()))
     return Schedule("scripted", list(sim.decisions_taken), granularity="exact")
@@ -371,11 +359,6 @@ def rfids_schedule(variant, scenario: Scenario | None = None) -> Schedule:
         validate_order={0: ["t2", "t3"], 1: ["t3", "t1"], 2: ["t1", "t2"]},
         blocked={("t1", 0), ("t2", 1), ("t3", 2)},
     )
-
-
-def crash_injected_solo_schedule(node: int) -> Schedule:
-    """A node crashes before anything runs; the fair policy does the rest."""
-    return inject_crash(Schedule("scripted", []), node, 0)
 
 
 def builtin_schedule(name: str, variant, scenario: Scenario | None = None) -> Schedule:

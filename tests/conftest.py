@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pdtsim.engine import Decision, EmitNote, PrimOp, Schedule, SendMsg, SimConfig, Simulation
+from pdtsim.engine import Decision, EmitNote, PrimOp, SendMsg, SimConfig, Simulation
 from pdtsim.errors import PlacementError
 from pdtsim.memory import NodeMemory
 from pdtsim.model import DataPlacement, ProcessRef, TransactionProgram
@@ -67,7 +67,7 @@ def matrix_report(tmp_path_factory):
 
 
 def make_scenario(items, groups, k, f, txns, *, n_nodes=None, procs=2, clients=None,
-                  gst=0, name="test", crash_budget=None):
+                  gst=0, name="test"):
     """Compact scenario builder for protocol tests."""
     placement = DataPlacement(initials=dict(items), groups={i: tuple(g) for i, g in groups.items()},
                               k=k, f=f)
@@ -75,7 +75,7 @@ def make_scenario(items, groups, k, f, txns, *, n_nodes=None, procs=2, clients=N
     n_nodes = n_nodes or (max(n for g in groups.values() for n in g) + 1)
     clients = clients if clients is not None else max((p.client for p in programs), default=0) + 1
     config = SimConfig(n_nodes=n_nodes, procs_per_node=procs, n_clients=clients, gst=gst)
-    return Scenario(name, placement, programs, config, crash_budget_override=crash_budget)
+    return Scenario(name, placement, programs, config)
 
 
 class HandlerHarness:
@@ -128,17 +128,20 @@ class Driver:
         while self.sim._steppable(self.sim.procs[ref]):
             self.step(ref)
 
-    def deliver(self, msg_id, pin=None):
-        self.sim.apply(Decision("deliver", msg=msg_id, pin=pin))
+    def deliver(self, msg_id) -> ProcessRef:
+        """Deliver a message; return the process that took it (a node's
+        first idle process, or the client)."""
+        self.sim.apply(Decision("deliver", msg=msg_id))
+        return self.sim.steps[-1].proc
 
     def inflight(self, pred=None):
         out = [self.sim.inflight[m] for m in sorted(self.sim.inflight)]
         return [m for m in out if pred is None or pred(m)] if pred else out
 
-    def deliver_where(self, pred, pin=None):
+    def deliver_where(self, pred) -> ProcessRef:
         msgs = self.inflight(pred)
         assert msgs, "no matching in-flight message"
-        self.deliver(msgs[0].msg_id, pin=pin)
+        return self.deliver(msgs[0].msg_id)
 
     def run_nodes(self):
         while True:

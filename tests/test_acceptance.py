@@ -4,10 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 from __future__ import annotations
 
-import json
 import random
-
-import pytest
 
 from pdtsim import run
 from pdtsim.checkers import (
@@ -18,13 +15,12 @@ from pdtsim.checkers import (
     verify_trace_invariants,
 )
 from pdtsim.cli import main
-from pdtsim.engine import Schedule
+from pdtsim.engine import Decision, Schedule
 from pdtsim.explore import explore
 from pdtsim.matrix import EXPECTED_MATRIX
 from pdtsim.model import derive_history, txn_depth, value_learned_events, partial_depth
 from pdtsim.protocols import AlgorithmVariant, VARIANTS
 from pdtsim.scenarios import (
-    crash_injected_solo_schedule,
     fids_schedule,
     get_scenario,
     rfids_schedule,
@@ -70,7 +66,7 @@ def test_c2_rfids_reproduction(base):
 
     for i in (1, 2, 3):
         solo = scenario_rfids_solo(i)
-        solo_res = run(solo.config, base, solo, crash_injected_solo_schedule(i - 1))
+        solo_res = run(solo.config, base, solo, Schedule("scripted", [Decision("crash", node=i - 1)]))
         txn = f"t{i}"
         assert solo_res.trace.coordinator_response(txn).outcome == "commit"
         assert txn_depth(solo_res.trace, txn) == 4
@@ -210,7 +206,8 @@ def test_c9_invariant_suite(base):
     traces.append(run(rfids.config, base, rfids, rfids_schedule(base, rfids)).trace)
     for i in (1, 2, 3):
         solo = scenario_rfids_solo(i)
-        traces.append(run(solo.config, base, solo, crash_injected_solo_schedule(i - 1)).trace)
+        crash_first = Schedule("scripted", [Decision("crash", node=i - 1)])
+        traces.append(run(solo.config, base, solo, crash_first).trace)
     for r in (0, 1, 2, 3):
         scen = scenario_solo(r)
         for tag in VARIANTS:
@@ -218,13 +215,10 @@ def test_c9_invariant_suite(base):
     # Crash-injected replays from the seamless sweep.
     scen = scenario_solo(1)
     baseline = run(scen.config, base, scen, Schedule("fair"))
-    from pdtsim.engine import Decision
-
     for pos in (0, len(baseline.decisions) // 2, len(baseline.decisions)):
         for node in range(3):
             sched = Schedule("scripted",
-                             list(baseline.decisions[:pos]) + [Decision("crash", node=node)],
-                             complete=True)
+                             list(baseline.decisions[:pos]) + [Decision("crash", node=node)])
             traces.append(run(scen.config, base, scen, sched).trace)
     # A sample of exploration terminals, including the violating one.
     res = explore(fids, base, mode="exhaustive", max_schedules=2500)

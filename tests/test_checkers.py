@@ -26,7 +26,7 @@ from pdtsim.checkers import (
     verify_trace_invariants,
 )
 from pdtsim.cli import main
-from pdtsim.engine import Decision, Schedule, Simulation, inject_crash
+from pdtsim.engine import Decision, Schedule, inject_crash
 from pdtsim.errors import InvariantViolation, PlacementError, ScheduleIncompatible
 from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step, txn_depth
 from pdtsim.protocols import AlgorithmVariant
@@ -434,11 +434,13 @@ def test_seamless_ft_witness_after_a_prefix_replays(monkeypatch):
     assert {t: txn_depth(res.trace, t) for t in ("w1", "w2")} == v.witness["injectedDepths"]
 
 
-# SHA-256s taken while the counterexample builder ran its own apply loop and
-# the seamless-ft sweep replayed every crash injection from the initial state.
-GOLDEN_COUNTEREXAMPLE_SHA256 = "79d171cfe2de21e87f6d9623a3b43afcb333a5921315288ccea87e931c9a2f1c"
-GOLDEN_SEAMLESS_FT_SHA256 = "7a03491bda569bf877492301a37441bf36dc1a2786082d9a822ded9bfa4b1247"
-GOLDEN_VERDICTS_SHA256 = "49c3cc4ccb862885360caa9cf5687cd1a544a918780878abe89353c43c691be2"
+# SHA-256s taken when decisions lost `pin` and schedules lost `complete`. The
+# counterexample runs kept their steps, up to the index of the node process
+# that takes each delivery; the seamless-ft and verdict pins changed only in
+# the dropped `complete` key of their witness schedules.
+GOLDEN_COUNTEREXAMPLE_SHA256 = "b34d44ca09603b660623aa4e3cdfd4e8932ae1cbc3fa8072689d20fd7855babb"
+GOLDEN_SEAMLESS_FT_SHA256 = "2619954edcacd19b6a4c0a98f95674d8888e5bb148b4694ceed98d5763df3fe3"
+GOLDEN_VERDICTS_SHA256 = "fb4882824d27a587a1563a04cc53892dc3a43d72ea0b134f48d51e9a71c543b9"
 
 
 def test_golden_counterexample_schedules():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from pdtsim import run
+from pdtsim.checkers import check_serializability
 from pdtsim.engine import (
     TIMEOUT,
     Decision,
@@ -21,7 +24,7 @@ from pdtsim.engine import (
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim import explore as explore_module
 from pdtsim.explore import explore, explore_exhaustive, explore_random
-from pdtsim.model import NOTE, PRIM, RECV, SEND, ProcessRef, derive_history, txn_depth
+from pdtsim.model import NOTE, PRIM, RECV, SEND, ProcessRef, derive_history
 from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
@@ -61,7 +64,7 @@ def test_single_node_readonly_solo(base):
 
 def test_crash_finality(base):
     scen = scenario_solo(1)
-    sched = Schedule("scripted", [Decision("crash", node=1)], complete=True)
+    sched = Schedule("scripted", [Decision("crash", node=1)])
     res = run(scen.config, base, scen, sched)
     crash_i = next(s.i for s in res.trace.steps if s.kind == "crash")
     for s in res.trace.steps[crash_i + 1:]:
@@ -71,7 +74,7 @@ def test_crash_finality(base):
 
 def test_dropped_messages_get_drop_notes(base):
     scen = scenario_solo(1)
-    sched = Schedule("scripted", [Decision("crash", node=0)], complete=True)
+    sched = Schedule("scripted", [Decision("crash", node=0)])
     res = run(scen.config, base, scen, sched)
     drops = [s for s in res.trace.steps if s.kind == "note" and s.tag == "drop"]
     assert drops, "sends to the crashed node must be recorded as drops"
@@ -111,27 +114,27 @@ def test_enabled_choices_include_crashes_within_budget(base):
 
 def test_schedule_stuck_on_non_enabled_decision(base):
     scen = scenario_solo(1)
-    bad = Schedule("scripted", [Decision("deliver", msg=99)], complete=False)
+    bad = Schedule("scripted", [Decision("deliver", msg=99)])
     with pytest.raises(ScheduleStuck):
         run(scen.config, base, scen, bad)
 
 
 def test_crash_budget_enforced(base):
     scen = scenario_fids()  # f = 0
-    sched = Schedule("scripted", [Decision("crash", node=0)], complete=False)
+    sched = Schedule("scripted", [Decision("crash", node=0)])
     with pytest.raises(ScheduleStuck):
         run(scen.config, base, scen, sched)
 
 
 def test_inject_crash_unused_node_appends_crash_only(base):
-    # The item lives on node 0; node 1 holds nothing, so crashing it changes
-    # nothing but the crash step itself (and the budget must allow it).
+    # The item lives on nodes 0-2 (k=3, f=1); node 3 holds nothing, so
+    # crashing it changes nothing but the crash step itself.
     scen = make_scenario(
-        {"X": None}, {"X": [0]}, 1, 0, [("t1", 0, ["X"], [("X", "always", "v")])],
-        n_nodes=2, procs=1, crash_budget=1,
+        {"X": None}, {"X": [0, 1, 2]}, 3, 1, [("t1", 0, ["X"], [("X", "always", "v")])],
+        n_nodes=4, procs=1,
     )
     plain = run(scen.config, base, scen, Schedule("fair"))
-    sched = inject_crash(Schedule("scripted", []), 1, 0)
+    sched = inject_crash(Schedule("scripted", []), 3, 0)
     crashed = run(scen.config, base, scen, sched)
     assert crashed.trace.steps[0].kind == "crash"
     rest = [s.to_json() for s in crashed.trace.steps[1:]]
@@ -146,6 +149,82 @@ def test_inject_crash_rejects_double_crash():
         inject_crash(sched, 2, 1)
 
 
+def test_inject_crash_keeps_no_seed(base):
+    """A scripted schedule completes with the fair policy, which reads no
+    seed, so a crash injected into random:3 carries none."""
+    scen = scenario_solo(1)
+    sched = inject_crash(Schedule("random", seed=3), 0, 0)
+    assert sched.seed is None and "seed" not in sched.to_json()
+    crash_first = Schedule("scripted", [Decision("crash", node=0)])
+    assert run(scen.config, base, scen, sched).decisions == \
+        run(scen.config, base, scen, crash_first).decisions
+
+
+def test_schedule_json_holds_only_what_a_run_reads(base):
+    """A scripted schedule's JSON and a delivery decision's JSON carry
+    exactly the keys a run reads. The old keys `complete` and `pin` load
+    like any unknown key, whatever their value."""
+    scen = scenario_fids()
+    sched = fids_schedule(base, scen)
+    doc = sched.to_json()
+    assert set(doc) == {"kind", "granularity", "decisions", "tolerant"}
+    delivery = next(d for d in doc["decisions"] if d["t"] == "deliver")
+    assert set(delivery) == {"t", "msg"}
+    assert Schedule.from_json({**doc, "complete": "no"}) == sched
+    assert Decision.from_json({**delivery, "pin": "x"}) == Decision("deliver", msg=delivery["msg"])
+
+
+# The fids/base schedules as written before decisions lost `pin` and
+# schedules lost `complete`: the explorer's violation (atomic, with
+# "complete": false) and builtin:fids (exact, with a pin on each delivery to
+# a node), with the history and witness each gave.
+OLD_SCHEDULES = Path(__file__).parent / "data"
+FIDS_BASE_HISTORY = "t1:[read(X1)=None;write(X2)='v2']|t2:[read(X2)=None;write(X1)='v1']"
+_T1_T2 = {"from": "t1", "item": "X1", "reason": "read-initial", "to": "t2"}
+_T2_T1 = {"from": "t2", "item": "X2", "reason": "read-initial", "to": "t1"}
+
+
+def _without_node_idx(schedule: Schedule) -> list[dict]:
+    out = [d.to_json() for d in schedule.decisions]
+    for d in out:
+        if d.get("proc", {}).get("kind") == "node":
+            d["proc"]["idx"] = None
+    return out
+
+
+def test_old_schedule_files_replay(base):
+    """The old violation schedule replays to its history and witness, and
+    the fair tail adds nothing to it. The old builtin:fids script, its pins
+    dropped, is the builder's script up to node-process indexes, and the
+    builder's run gives the history and witness it gave. The old script
+    itself names the pinned processes, which a pin-free delivery leaves
+    idle, so it stops as any script with a step that is not enabled."""
+    scen = scenario_fids()
+
+    def replayed(schedule):
+        res = run(scen.config, base, scen, schedule)
+        history = derive_history(res.trace)
+        return res, history.canonical(), check_serializability(history).witness
+
+    violation = Schedule.from_json(
+        json.loads((OLD_SCHEDULES / "fids-base-violation-schedule.json").read_text()))
+    res, history, witness = replayed(violation)
+    assert res.decisions == violation.decisions
+    assert history == FIDS_BASE_HISTORY
+    assert witness == {"cycle": ["t1", "t2"], "edges": [_T2_T1, _T1_T2]}
+
+    pinned = Schedule.from_json(
+        json.loads((OLD_SCHEDULES / "fids-base-builtin-schedule.json").read_text()))
+    built = fids_schedule(base, scen)
+    assert _without_node_idx(pinned) == _without_node_idx(built)
+    assert pinned.decisions != built.decisions
+    _, history, witness = replayed(built)
+    assert history == FIDS_BASE_HISTORY
+    assert witness == {"cycle": ["t1", "t2"], "edges": [_T1_T2, _T2_T1]}
+    with pytest.raises(ScheduleStuck, match="is not enabled"):
+        run(scen.config, base, scen, pinned)
+
+
 def test_inject_crash_every_prefix_still_decides(base):
     # k=3, f=1: crashing any single node at any decision point leaves the
     # solo transaction decided (replay with fair completion).
@@ -156,7 +235,7 @@ def test_inject_crash_every_prefix_still_decides(base):
         for pos in positions:
             sched = Schedule(
                 "scripted", list(baseline.decisions[:pos]) + [Decision("crash", node=node)],
-                tolerant=True, complete=True,
+                tolerant=True,
             )
             res = run(scen.config, base, scen, sched)
             assert res.trace.decided("t1"), f"undecided after crash of {node} at {pos}"
@@ -222,7 +301,7 @@ def _reference_choices(sim):
         for mid in sorted(sim.inflight)
         if _reference_deliverable(sim, sim.inflight[mid])
     ]
-    if len(sim.crashed) < sim.scenario.crash_budget:
+    if len(sim.crashed) < sim.scenario.placement.f:
         out += [Decision("crash", node=n) for n in range(sim.config.n_nodes) if n not in sim.crashed]
     return out
 
@@ -389,16 +468,16 @@ def test_clone_continues_identically():
 # Golden explorations: the explorer's output, and the order of its schedules
 # --------------------------------------------------------------------------
 
-# Taken when the exhaustive search first combined sleep sets with its
-# visited-state cache and fired timers only when nothing else was enabled.
-GOLDEN_SCHEDULE_ORDER_SHA256 = "dd517b1ef778aa8772fb5f3d3965788703172ea22a7c60a72624a0bf5db9cc8b"
+# Taken when schedules lost `complete` and decisions lost `pin`; the search
+# and its terminals were otherwise as when sleep sets first joined the
+# visited-state cache.
+GOLDEN_SCHEDULE_ORDER_SHA256 = "237f55bb049fee29a4a70542acfde6edddc31b963566f8c2c807bb5721a76cf5"
+GOLDEN_EXPLORATION_SHA256 = "dcd24f2693f5075d5c6828fcf7a36759e010319b79068fd323a9a02772b1c2c1"
+GOLDEN_VIOLATION_EXPLORATION_SHA256 = "60aee945754962b87d822045daa998e5a8907ef01e261c3a0dad2f4e66fb3033"
+GOLDEN_MATRIX_JSON_SHA256 = "672abb271a1cba0a1fad954b42551d2fd895af57b0bc7c6215fe63542f4f2b7e"
 # Taken when the search counts moved into the result's "search" object, which
-# the exploration pins leave out, and the matrix evidence came to name the
-# histories of the explored space.
-GOLDEN_EXPLORATION_SHA256 = "221c41b97ff470b7aa9d1fa3731e0b3a035afc926b2be3131a783c71df826193"
-GOLDEN_VIOLATION_EXPLORATION_SHA256 = "0283bcbb11b99a18b6d943bbed7cb19697ee12ed386785d5c62cd66ac2840303"
+# the exploration pins leave out.
 GOLDEN_RANDOM_EXPLORATION_SHA256 = "b53c9286235863fe28c21b5883645104073c1e5ec4a199d3bc3d7aac2fd27f5d"
-GOLDEN_MATRIX_JSON_SHA256 = "52d73f237bcbfb78034372716b30305a4d66b57cd00105ead663db31f0cb8db1"
 # Taken before the explorer backtracked from snapshots, when every schedule
 # replayed its prefix from the initial state.
 GOLDEN_MATRIX_MARKDOWN_SHA256 = "823017ac517f5ab042b4acb78cec11de726cb5bf7f28c85ab1a1379af4598519"
@@ -493,8 +572,7 @@ def test_violation_schedules_replay(golden_explorations, violation_exploration):
             dropped = {s.data["msgId"] for s in steps if s.kind == NOTE and s.tag == "drop"}
             assert sent == received | dropped
             # The fair policy finds nothing to add after the script.
-            completed = run(scen.config, variant, scen, replace(schedule, complete=True))
-            assert completed.decisions == result.decisions
+            assert result.decisions == schedule.decisions
             replayed += 1
     assert replayed == 2
 
@@ -638,13 +716,17 @@ def test_fingerprint_keys_the_canonical_state():
     assert len(read_a) == len(read_b) == 1 and read_a[0].msg_id != read_b[0].msg_id
     assert a.fingerprint() == b.fingerprint()
 
-    pinned = [a.clone(), a.clone()]
-    for pin, sim in enumerate(pinned):
-        sim.apply(Decision("deliver", msg=read_a[0].msg_id, pin=pin))
-    assert pinned[0].fingerprint() == pinned[1].fingerprint() != a.fingerprint()
-    for pin, sim in enumerate(pinned):
-        sim.apply(Decision("step", proc=ProcessRef.node_proc(0, pin)))  # read and reply
-    assert pinned[0].fingerprint() == pinned[1].fingerprint()
+    # The delivery takes node 0's process 0; a clone with the two processes'
+    # handlers swapped runs the read on process 1.
+    delivered = a.clone()
+    delivered.apply(read_a[0].deliver)
+    swapped = delivered.clone()
+    p0, p1 = swapped._node_procs[0]
+    p0.handler, p1.handler = p1.handler, p0.handler
+    assert delivered.fingerprint() == swapped.fingerprint() != a.fingerprint()
+    delivered.apply(Decision("step", proc=ProcessRef.node_proc(0, 0)))  # read and reply
+    swapped.apply(Decision("step", proc=ProcessRef.node_proc(0, 1)))
+    assert delivered.fingerprint() == swapped.fingerprint()
 
     sim = Simulation(scen.config, variant, scen, granularity="atomic")
     fair = FairPolicy()

@@ -12,19 +12,17 @@ import pdtsim
 from pdtsim import run
 from pdtsim.checkers import check_read_delay, check_serializability
 from pdtsim.cli import main
-from pdtsim.engine import Schedule, Simulation
+from pdtsim.engine import Decision, Schedule, Simulation
 from pdtsim.explore import explore
 from pdtsim.matrix import EVIDENCE
 from pdtsim.model import derive_history, txn_depth
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
     Scenario,
-    crash_injected_solo_schedule,
     fids_schedule,
     get_scenario,
     rfids_schedule,
     scenario_fids,
-    scenario_fids_replicated,
     scenario_rfids,
     scenario_rfids_solo,
 )
@@ -58,7 +56,7 @@ def test_rfids_scripted_run_three_cycle(base):
 def test_rfids_solo_crash_runs_decide_at_depth_four(base):
     for i in (1, 2, 3):
         scen = scenario_rfids_solo(i)
-        res = run(scen.config, base, scen, crash_injected_solo_schedule(i - 1))
+        res = run(scen.config, base, scen, Schedule("scripted", [Decision("crash", node=i - 1)]))
         assert res.trace.steps[0].kind == "crash"
         assert res.trace.coordinator_response(f"t{i}").outcome == "commit"
         assert txn_depth(res.trace, f"t{i}") == 4
@@ -500,7 +498,6 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("schedule", {"kind": "scripted", "decisions": 5}),
     ("schedule", {"kind": "random", "seed": "abc"}),
     ("schedule", [1, 2]),
-    ("schedule", {"kind": "scripted", "decisions": [{"t": "crash", "node": 0}], "complete": "no"}),
     ("schedule", {"kind": "scripted", "decisions": [], "tolerant": "no"}),
     ("scenario", [1]),
     ("scenario", {**_SCENARIO, "transactions": 3}),
@@ -524,8 +521,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("step", {"kind": "bogus"}),
     ("step", {"txn": 5}),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
-        "unknown-kind", "decisions-int", "seed-str", "schedule-list", "complete-str",
-        "tolerant-str", "scenario-list",
+        "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
         "placement-node-twice", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",

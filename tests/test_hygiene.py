@@ -1,6 +1,6 @@
-"""Source hygiene of the package: no unused imports, no unreferenced
-private module-level functions or classes, and no class field that nothing
-reads, so a deletion leaves no stragglers behind."""
+"""Source hygiene of the package: no unused imports (in its tests too), no
+unreferenced private module-level functions or classes, and no class field
+that nothing reads, so a deletion leaves no stragglers behind."""
 from __future__ import annotations
 
 import ast
@@ -10,6 +10,7 @@ import pdtsim
 
 SRC = Path(pdtsim.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -42,7 +43,7 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 def test_no_unused_imports():
     unused = []
-    for path in MODULES:
+    for path in MODULES + TESTS:
         tree = _tree(path)
         used = _used_names(tree)
         unused += [f"{path.name}:{line} {name}"
@@ -67,7 +68,7 @@ def test_no_unreferenced_private_definitions():
 def test_no_unread_class_fields():
     """Every annotated field of a class in the package is loaded as an
     attribute somewhere in the package or its tests."""
-    sources = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    sources = sorted(SRC.glob("*.py")) + TESTS
     loaded = {
         node.attr for path in sources for node in ast.walk(_tree(path))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)

@@ -13,14 +13,12 @@ from __future__ import annotations
 import pytest
 
 from pdtsim import run
-from pdtsim.engine import Decision, Schedule, SimConfig, Simulation, inject_crash
+from pdtsim.engine import Decision, Schedule, Simulation, inject_crash
 from pdtsim.errors import Undecided
 from pdtsim.model import (
-    CommittedHistory,
     ExecutionTrace,
     ProcessRef,
     Step,
-    TransactionProgram,
     derive_history,
     happened_before,
     handler_of_steps,
@@ -397,9 +395,11 @@ def test_dropped_send_interval_ends_at_the_crash():
     scen = scenario_solo(1)
     base = AlgorithmVariant("base")
     fair = run(scen.config, base, scen, Schedule("fair"))
-    res = run(scen.config, base, scen, Schedule(
-        "scripted", list(fair.decisions[:85]) + [Decision("crash", node=2)], complete=False,
-    ))
+    sim = Simulation(scen.config, base, scen)
+    for d in fair.decisions[:85] + [Decision("crash", node=2)]:
+        sim.apply(d)
+    sim.finish()
+    res = sim.result()
     steps = res.trace.steps
     assert steps[85].kind == "crash"
     dropped = [s.data["msgId"] for s in steps if s.kind == "note" and s.tag == "drop"]

@@ -9,11 +9,10 @@ import pytest
 
 from pdtsim import run
 from pdtsim.checkers import verify_trace_invariants
-from pdtsim.engine import Schedule, SimConfig, Simulation
+from pdtsim.engine import Schedule, Simulation
 from pdtsim.memory import NodeMemory
 from pdtsim.model import ProcessRef
 from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv, pmsg
-from pdtsim.scenarios import scenario_solo
 
 from conftest import Driver, FakeMsg, HandlerHarness, make_scenario, run_sequential
 
@@ -156,16 +155,17 @@ def test_read_retries_after_concurrent_install(base):
     drv = Driver(sim)
     w, r = ProcessRef.client(0), ProcessRef.client(1)
     drv.run_proc(w)  # invoke + validate broadcast
-    drv.deliver_where(lambda m: m.payload["kind"] == "validate", pin=0)
+    drv.deliver_where(lambda m: m.payload["kind"] == "validate")
     drv.run_nodes()
     drv.deliver_where(lambda m: m.payload["kind"] == "validateReply")
     drv.run_proc(w)  # decide commit, send commit, respond
     drv.run_proc(r)  # invoke + read broadcast
-    drv.deliver_where(lambda m: m.payload["kind"] == "read", pin=1)
-    drv.step(ProcessRef.node_proc(0, 1))  # lockS check
-    drv.step(ProcessRef.node_proc(0, 1))  # first seqNum read -> 0
-    drv.deliver_where(lambda m: m.payload["kind"] == "commit", pin=0)
-    drv.run_proc(ProcessRef.node_proc(0, 0))  # install X = ("fresh", 1)
+    reader = drv.deliver_where(lambda m: m.payload["kind"] == "read")
+    drv.step(reader)  # lockS check
+    drv.step(reader)  # first seqNum read -> 0
+    installer = drv.deliver_where(lambda m: m.payload["kind"] == "commit")
+    assert installer != reader
+    drv.run_proc(installer)  # install X = ("fresh", 1)
     drv.drain_fair()
     trace = sim.result().trace
     reply = next(s for s in trace.steps
@@ -173,7 +173,7 @@ def test_read_retries_after_concurrent_install(base):
     assert reply.payload["body"] == {"key": "X", "round": 1, "val": "fresh", "seq": 1, "vote": "ok"}
     read_handler_prims = [
         s for s in trace.steps
-        if s.kind == "prim" and s.txn == "r" and s.proc.idx == 1
+        if s.kind == "prim" and s.txn == "r" and s.proc == reader and s.i < reply.i
     ]
     assert len(read_handler_prims) == 10, "one failed attempt plus one clean attempt"
     assert all(not s.nontrivial for s in read_handler_prims)
@@ -205,16 +205,16 @@ def test_concurrent_writer_aborts_reader_validation(base):
     sim = Simulation(scen.config, base, scen)
     drv = Driver(sim)
     drv.run_proc(ProcessRef.client(1))  # reader sends READ
-    drv.deliver_where(lambda m: m.payload["kind"] == "read", pin=1)
+    drv.deliver_where(lambda m: m.payload["kind"] == "read")
     drv.run_nodes()
     drv.deliver_where(lambda m: m.payload["kind"] == "readReply")
     # writer now runs start to finish
     drv.run_proc(ProcessRef.client(0))
-    drv.deliver_where(lambda m: m.txn == "w" and m.payload["kind"] == "validate", pin=0)
+    drv.deliver_where(lambda m: m.txn == "w" and m.payload["kind"] == "validate")
     drv.run_nodes()
     drv.deliver_where(lambda m: m.txn == "w")
     drv.run_proc(ProcessRef.client(0))
-    drv.deliver_where(lambda m: m.txn == "w" and m.payload["kind"] == "commit", pin=0)
+    drv.deliver_where(lambda m: m.txn == "w" and m.payload["kind"] == "commit")
     drv.run_nodes()
     # reader validates its stale read
     drv.drain_fair()
@@ -223,19 +223,6 @@ def test_concurrent_writer_aborts_reader_validation(base):
     assert trace.coordinator_response("r").outcome == "abort"
     # The aborted transaction still reports the write set it attempted.
     assert trace.coordinator_response("r").write_set == [["Y", "y"]]
-
-
-def test_quorum_unreachable_leaves_txn_undecided(base):
-    # k=3, f=1 tolerates one crash; two crashes starve the read quorum.
-    scen = scenario_solo(1)
-    scen.crash_budget_override = 2
-    from pdtsim.engine import Decision
-
-    sched = Schedule(
-        "scripted", [Decision("crash", node=0), Decision("crash", node=1)], complete=True,
-    )
-    res = run(scen.config, base, scen, sched)
-    assert not res.trace.decided("t1")
 
 
 @pytest.mark.parametrize("tag", VARIANTS)
@@ -255,37 +242,31 @@ def test_read_retries_exhausted_on_two_replicas_aborts(tag):
     drv = Driver(sim)
     writer, reader = ProcessRef.client(0), ProcessRef.client(1)
 
-    def deliver_and_run(m, pin):
-        if m.dst[0] == "node":
-            drv.deliver(m.msg_id, pin=pin)
-            drv.run_proc(ProcessRef.node_proc(m.dst[1], pin))
-        else:
-            drv.deliver(m.msg_id)
-            drv.run_proc(ProcessRef.client(m.dst[1]))
+    def deliver_and_run(m):
+        drv.run_proc(drv.deliver(m.msg_id))
 
-    # The writer runs up to its commit broadcast; node handlers on process 0.
+    # The writer runs up to its commit broadcast.
     drv.run_proc(writer)
     while not drv.inflight(lambda m: m.payload["kind"] == "commit"):
         for m in drv.inflight(lambda m: m.txn == "w"):
-            deliver_and_run(m, 0)
+            deliver_and_run(m)
     for node in (1, 2):
-        drv.deliver_where(lambda m: m.payload["kind"] == "commit" and m.dst == ("node", node), pin=0)
-        proc = ProcessRef.node_proc(node, 0)
+        proc = drv.deliver_where(lambda m: m.payload["kind"] == "commit" and m.dst == ("node", node))
         while not any(s.proc == proc and s.kind == "prim" and s.obj == "X.lockS" for s in sim.steps):
             drv.step(proc)  # stop right after the lockS CAS
 
     # The reader learns Y, then reads X on the two locked replicas first.
     drv.run_proc(reader)
     for m in drv.inflight(lambda m: m.payload["kind"] == "read"):
-        deliver_and_run(m, 1)
+        deliver_and_run(m)
     for m in drv.inflight(lambda m: m.payload["kind"] == "readReply"):
-        deliver_and_run(m, None)
+        deliver_and_run(m)
     for m in drv.inflight(lambda m: m.payload["kind"] == "read" and m.dst[1] in (1, 2)):
-        deliver_and_run(m, 1)
+        deliver_and_run(m)
     refusals = drv.inflight(lambda m: m.payload["kind"] == "readReply")
     assert [m.payload["body"]["vote"] for m in refusals] == ["abort", "abort"]
     for m in refusals:
-        deliver_and_run(m, None)
+        deliver_and_run(m)
     assert sim.procs[reader].handler is None, "the reader decided on the second refusal"
     drv.drain_fair()
 

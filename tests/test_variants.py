@@ -4,10 +4,10 @@ from __future__ import annotations
 import pytest
 
 from pdtsim import run
-from pdtsim.engine import Decision, Schedule, Simulation, inject_crash
+from pdtsim.engine import Schedule, inject_crash
 from pdtsim.errors import PlacementError
 from pdtsim.memory import GLOBAL_LOCK, NodeMemory, contending_pairs
-from pdtsim.model import ProcessRef, txn_depth
+from pdtsim.model import txn_depth
 from pdtsim.protocols import AlgorithmVariant, ProtocolEnv, pmsg
 from pdtsim.scenarios import scenario_disjoint_writers, scenario_fids, scenario_solo
 
