@@ -43,13 +43,22 @@ class ProcessRef:
         return {"kind": self.kind, "node": self.node, "idx": self.idx}
 
     @staticmethod
-    def from_json(d: dict) -> "ProcessRef":
+    def from_json(d: dict, procs: dict | None = None) -> "ProcessRef":
+        """The process ``d`` names. With ``procs``, the one ProcessRef kept
+        there for it, added on first sight: ``procs`` is keyed only by
+        validated fields, so ``idx: true`` never finds the entry of idx 1."""
         d = json_object(d, "process")
         kind, node, idx = d.get("kind"), d.get("node"), d.get("idx")
         node_ok = node is None if kind == "client" else type(node) is int
         if kind not in ("client", "node") or not node_ok or type(idx) is not int:
             raise MalformedInput(f"malformed process {d!r}")
-        return ProcessRef(kind, node, idx)
+        if procs is None:
+            return ProcessRef(kind, node, idx)
+        key = (kind, node, idx)
+        ref = procs.get(key)
+        if ref is None:
+            ref = procs[key] = ProcessRef(kind, node, idx)
+        return ref
 
     @staticmethod
     def client(idx: int) -> "ProcessRef":
@@ -145,23 +154,28 @@ class Step:
         return rec
 
     @staticmethod
-    def from_json(rec: dict, i: int) -> "Step":
-        """The step at position i of its trace, from its wire record."""
-        rec = json_object(rec, "trace step")
-        if type(rec.get("i")) is not int or rec["i"] != i:
-            raise MalformedInput(f"trace step {i}: 'i' must be {i}, not {rec.get('i')!r}")
-        if rec.get("kind") not in STEP_KINDS:
+    def from_json(rec: dict, i: int, procs: dict) -> "Step":
+        """The step at position i of its trace, from its wire record.
+
+        The record is taken over, not copied: its ``i``, ``kind``, ``proc``
+        and ``txn`` are popped and the dict that is left becomes ``fields``.
+        ``procs`` is passed on to ``ProcessRef.from_json``, so the steps read
+        with one ``procs`` share one ProcessRef per process."""
+        fields = json_object(rec, "trace step")
+        pos = fields.pop("i", None)
+        if type(pos) is not int or pos != i:
+            raise MalformedInput(f"trace step {i}: 'i' must be {i}, not {pos!r}")
+        kind = fields.pop("kind", None)
+        if kind not in STEP_KINDS:
             raise MalformedInput(
-                f"trace step {i}: 'kind' must be one of {', '.join(STEP_KINDS)},"
-                f" not {rec.get('kind')!r}"
+                f"trace step {i}: 'kind' must be one of {', '.join(STEP_KINDS)}, not {kind!r}"
             )
-        if type(rec.get("txn")) not in _TXN_TYPES:
-            raise MalformedInput(f"trace step {i}: 'txn' must be a string or null, not {rec['txn']!r}")
-        fields = rec.copy()
-        for key in ("i", "kind", "proc", "txn"):
-            fields.pop(key, None)
-        proc = ProcessRef.from_json(rec["proc"]) if rec.get("proc") else None
-        if rec["kind"] == RESPONSE:
+        txn = fields.pop("txn", None)
+        if type(txn) not in _TXN_TYPES:
+            raise MalformedInput(f"trace step {i}: 'txn' must be a string or null, not {txn!r}")
+        proc = fields.pop("proc", None)
+        proc = ProcessRef.from_json(proc, procs) if proc else None
+        if kind == RESPONSE:
             for key in ("readSet", "writeSet"):
                 entries = fields.get(key)
                 if entries is not None and not (isinstance(entries, list) and all(
@@ -170,7 +184,7 @@ class Step:
                     raise MalformedInput(
                         f"response field {key!r} must list [item, value] pairs, not {entries!r}"
                     )
-        return Step(i, rec["kind"], proc, rec.get("txn"), fields)
+        return Step(i, kind, proc, txn, fields)
 
 
 @dataclass

@@ -334,6 +334,13 @@ def test_trace_io_roundtrip(tmp_path, base):
     write_run(res, out)
     loaded = read_trace(out)
     assert [s.to_json() for s in loaded.steps] == [s.to_json() for s in res.trace.steps]
+    assert loaded.steps == res.trace.steps
+    # The steps of one process share one ProcessRef.
+    shared = {}
+    for s in loaded.steps:
+        if s.proc is not None:
+            assert shared.setdefault(s.proc, s.proc) is s.proc
+    assert len(shared) > 1
     assert loaded.scenario.name == "solo-r1"
     assert loaded.algorithm.tag == "base"
     assert loaded.scenario.config == scen.config
@@ -520,16 +527,21 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("step", {"i": 7}),
     ("step", {"kind": "bogus"}),
     ("step", {"txn": 5}),
+    # Text, not an object: the fourth line cut short, a sidecar cut short.
+    ("step", '{"i":3,"kind":"send"'),
+    ("sidecar", '{"scenario": {'),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
         "placement-node-twice", "client-str",
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
         "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
-        "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int"])
+        "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int",
+        "step-syntax-error", "sidecar-syntax-error"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(document) + "\n")
+    text = document if isinstance(document, str) else json.dumps(document)
+    path.write_text(text + "\n")
     out = tmp_path / "x.jsonl"
     if command == "check":
         argv = ["check", "--trace", str(path), "--property", "serializability"]
@@ -553,7 +565,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
                      "--out", str(out)]) == 0
         capsys.readouterr()
         lines = out.read_text().splitlines()
-        lines[3] = json.dumps({**json.loads(lines[3]), **document})
+        if not isinstance(document, str):
+            text = json.dumps({**json.loads(lines[3]), **document})
+        lines[3] = text
         out.write_text("\n".join(lines) + "\n")
         # read-delay died with a TypeError on a string 'i'; serializability
         # passed every one of these edits.
@@ -569,6 +583,79 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if command == "sidecar" and isinstance(document, str):
+        assert err.startswith("error: trace sidecar: "), err
+
+
+def _solo_trace_lines(tmp_path, capsys) -> tuple[Path, list[str]]:
+    """A recorded solo-r1 trace (sidecar kept) and its lines."""
+    out = tmp_path / "x.jsonl"
+    assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    return out, out.read_text().splitlines()
+
+
+def _records_3_4_on_one_line(lines: list[str]) -> list[str]:
+    return lines[:3] + [lines[3] + "," + lines[4]] + lines[5:]
+
+
+def _record_3_over_two_lines(lines: list[str]) -> list[str]:
+    head, tail = lines[3].split(",", 1)
+    return lines[:3] + [head + ",", tail] + lines[4:]
+
+
+def _braces_in_strings(lines: list[str]) -> list[str]:
+    # Record 3 over two lines that only together make one object, the
+    # strings hiding their unbalanced braces, while records 4 and 5 share a
+    # line: the line count still equals the record count.
+    halves = [lines[3][:-1] + ',"t":"}"', '"u":"{"}']
+    return lines[:3] + halves + [lines[4] + "," + lines[5]] + lines[6:]
+
+
+@pytest.mark.parametrize("edit, bulk_reads_it", [
+    (_records_3_4_on_one_line, True),
+    (_record_3_over_two_lines, False),
+    (_braces_in_strings, True),
+], ids=["two-records-one-line", "record-over-two-lines", "braces-in-strings"])
+def test_cli_check_rejects_a_line_that_is_not_one_record(tmp_path, capsys, edit, bulk_reads_it):
+    out, lines = _solo_trace_lines(tmp_path, capsys)
+    edited = edit(lines)
+    if bulk_reads_it:
+        # One parse of all lines joined by commas reads a well-formed trace.
+        bulk = json.loads("[" + ",".join(edited) + "]")
+        assert [r["i"] for r in bulk] == list(range(len(lines)))
+    out.write_text("\n".join(edited) + "\n")
+    for prop in ("serializability", "read-delay"):
+        assert main(["check", "--trace", str(out), "--property", prop]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace step 3: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("proc, edit", [
+    ({"kind": "node", "node": 1, "idx": 0}, {"idx": False}),
+    ({"kind": "node", "node": 1, "idx": 0}, {"idx": True}),
+    ({"kind": "node", "node": 1, "idx": 0}, {"node": True}),
+    ({"kind": "node", "node": 1, "idx": 0}, {"node": 1.0}),
+    ({"kind": "node", "node": 1, "idx": 0}, {"node": "1"}),
+    ({"kind": "node", "node": 1, "idx": 0}, {"kind": ["node"]}),
+    ({"kind": "client", "node": None, "idx": 0}, {"kind": ["client"]}),
+    ({"kind": "client", "node": None, "idx": 0}, {"idx": 0.0}),
+], ids=["idx-false", "idx-true", "node-true", "node-float", "node-str", "kind-list",
+        "client-kind-list", "client-idx-float"])
+def test_cli_check_rejects_a_malformed_process_seen_before(tmp_path, capsys, proc, edit):
+    # The last step of a process whose earlier steps are well formed is
+    # still a malformed process, also where the bad field equals the valid
+    # one (False == 0, True == 1.0 == 1) or cannot be hashed.
+    out, lines = _solo_trace_lines(tmp_path, capsys)
+    recs = [json.loads(line) for line in lines]
+    last = max(r["i"] for r in recs if r["proc"] == proc)
+    assert any(r["proc"] == proc for r in recs[:last])
+    recs[last]["proc"] = {**proc, **edit}
+    out.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert main(["check", "--trace", str(out), "--property", "serializability"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed process ") and err.count("\n") == 1, err
 
 
 def test_cli_malformed_input_baseline_runs(tmp_path):
