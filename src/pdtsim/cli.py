@@ -68,9 +68,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     trace = read_trace(args.trace)
-    prop = args.property
-    if prop not in CHECKERS_BY_NAME:
-        raise PdtsimError(f"unknown property {prop!r}")
+    prop = args.property  # argparse's choices=PROPERTIES rejects any other name
     if any(getattr(trace, ref) is None for ref in SIDECAR_REFS.get(prop, ())):
         raise PdtsimError(f"{prop} needs the trace's .meta.json sidecar")
     options = {"s": args.s} if prop == "seamless-ft" else {}

@@ -399,17 +399,16 @@ class Simulation:
     # -- handler driving ---------------------------------------------------
 
     def _advance(self, proc: _Proc, value: Any = None) -> None:
-        """Resume the generator and stage its next effect (or block / finish)."""
+        """Resume the generator and stage its next effect (or block / finish).
+        A handler without one (a straggler drain, a finished handler's clone)
+        has its `_Response` staged and waits on nothing: it is never resumed."""
         h = proc.handler
         assert h is not None
         try:
-            if h.gen is None:
-                effect = None
-            else:
-                if h.gen is _RECREATE:
-                    h.gen = h.recreate(self.env, proc.ref.node)
-                h.sent.append(value)
-                effect = h.gen.send(value)
+            if h.gen is _RECREATE:
+                h.gen = h.recreate(self.env, proc.ref.node)
+            h.sent.append(value)
+            effect = h.gen.send(value)
         except StopIteration as stop:
             h.pending = _Response(stop.value)
             h.waiting = None

@@ -319,9 +319,6 @@ class ExecutionTrace:
     algorithm: Any = None  # protocols.AlgorithmVariant
     schedule: Any = None  # json-able schedule spec
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     @cached_property
     def index(self) -> "TraceIndex":
         """The trace's shared analysis; steps must not change once it is built."""
@@ -447,7 +444,8 @@ class TraceIndex:
     def preds(self) -> list[list[int]]:
         """Immediate happened-before predecessors of each step: the previous
         step of its handler and, for a recv, the matching send. Every
-        predecessor has a smaller index."""
+        predecessor has a smaller index, and an invoke, which opens its
+        handler, has none."""
         handlers = self.handlers
         out: list[list[int]] = [[] for _ in self.steps]
         last_in_handler: dict[int, int] = {}
@@ -483,7 +481,9 @@ class TraceIndex:
 
         A coordinator invocation has depth 0; a recv is 1 + depth of the
         matching send; every other step takes the max depth of the steps
-        before it in the same handler.
+        before it in the same handler. So depth never decreases along a
+        `preds` edge, nor along a happened-before path: a step without a
+        depth has no handler, so it can only start or end a path.
         """
         handlers = self.handlers
         send_of = self.send_of
@@ -665,15 +665,6 @@ class CommittedHistory:
             ops = ";".join(f"{k}({i})={v!r}" for k, i, v in self.ops[t])
             parts.append(f"{t}:[{ops}]")
         return "|".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "initials": dict(sorted(self.initials.items())),
-            "transactions": {
-                t: [{"kind": k, "item": i, "value": v} for k, i, v in ops]
-                for t, ops in self.ops.items()
-            },
-        }
 
 
 def derive_history(trace: ExecutionTrace) -> CommittedHistory:

@@ -267,10 +267,9 @@ def _validation(env: ProtocolEnv, tid, reads, writes):
 
     no-ddap writers also wait until only f nodes can be missing; no-seamless
     waits for every contacted node, and a timeout hands control back for the
-    restart fallback."""
+    restart fallback. With no node to contact, the round sends nothing and
+    its empty quorum holds at once: a commit without messages."""
     contact = _decision_contacts(env, reads, writes)
-    if not contact:
-        return "commit", {}, []
     items = [k for k, _ in reads] + [k for k, _ in writes]
     total_needed = timeout = None
     if env.variant.tag == NO_SEAMLESS:

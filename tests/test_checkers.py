@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -616,10 +619,8 @@ def _delete(pred):
 
 
 # One minimal edit per invariant clause, with the message the clause raises.
-# The two happened-before clauses (edges point forward; depth never falls
-# along an edge) have no case because they cannot fire: every predecessor in
-# TraceIndex.preds has a smaller index, and a step's depth is at least that
-# of its handler predecessor and of its matching send.
+# The happened-before clause (edges point forward) has no case because it
+# cannot fire: every predecessor in TraceIndex.preds has a smaller index.
 INVARIANT_EDITS = {
     "duplicate-send": (
         "solo-r0", _second_reuses_first_msg_id(_is("send")), "duplicate send msgId 0"),
@@ -664,6 +665,29 @@ def test_invariants_catch_one_edit(clause):
     assert str(caught.value) == message
 
 
+# The longest literal piece of each clause's message that no edit can trip.
+# Only the happened-before clause; it goes once nothing needs
+# `happened_before` to be called.
+UNFALSIFIABLE_CLAUSES = {"happened-before edge ("}
+
+
+def test_every_invariant_clause_has_an_edit():
+    # The longest literal piece of each `raise InvariantViolation(...)` message.
+    pieces = []
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(verify_trace_invariants)))):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) == "InvariantViolation"):
+            message = node.exc.args[0]
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            pieces.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
+    assert len(pieces) >= len(INVARIANT_EDITS)
+    messages = [message for _, _, message in INVARIANT_EDITS.values()]
+    for piece in pieces:
+        if piece not in UNFALSIFIABLE_CLAUSES:
+            assert any(piece in m for m in messages), f"no INVARIANT_EDITS case raises {piece!r}"
+    assert UNFALSIFIABLE_CLAUSES <= set(pieces), "an exempt clause is gone; drop its exemption"
+
+
 # The suite must still raise with asserts stripped.
 _STILL_HOLDS_REPRO = """
 from pdtsim.checkers import verify_trace_invariants
@@ -683,3 +707,51 @@ def test_invariants_raise_under_python_O():
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout == INVARIANT_EDITS["still-holds"][2] + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Failure branches of the checkers
+# ---------------------------------------------------------------------------
+
+
+def test_weak_progress_flags_an_undecided_transaction():
+    trace = _recorded("solo-r1")
+    prefix = trace.steps[:trace.coordinator_response("t1").i]
+    v = check_weak_progress([ExecutionTrace(prefix, trace.scenario)])
+    assert not v.passed
+    assert v.witness == {"trace": 0, "txn": "t1", "reason": "undecided"}
+
+
+def test_weak_progress_flags_an_aborted_solo_transaction():
+    trace = _edited("solo-r1", _set(_is("response", "t1", outcome="commit"), outcome="abort"))
+    v = check_weak_progress([trace])
+    assert not v.passed
+    assert v.witness == {"trace": 0, "txn": "t1", "reason": "solo transaction aborted"}
+
+
+def test_fast_decision_needs_a_failure_free_trace(base):
+    scen = scenario_solo(1)
+    trace = run(scen.config, base, scen, inject_crash(Schedule("scripted", []), 2, 0)).trace
+    v = check_fast_decision(trace)
+    assert not v.passed and v.witness == {"reason": "trace is not failure-free"}
+
+
+def test_strong_ir_fails_when_weak_ir_does():
+    trace = _edited("readonly-pair", _set(_is("prim", "r1"), nontrivial=True))
+    v = check_strong_ir(trace)
+    assert not v.passed
+    assert v.details == {"reason": "weak invisible reads violated"}
+    assert v.witness == check_weak_ir(trace).witness
+
+
+def test_strong_ir_needs_the_scenario_and_algorithm():
+    trace = ExecutionTrace(_recorded("solo-r1").steps)
+    with pytest.raises(ScheduleIncompatible, match="scenario/algorithm refs"):
+        check_strong_ir(trace)
+
+
+def test_seamless_ft_rejects_a_base_run_over_budget(base):
+    scen = scenario_solo(1)
+    v = check_seamless_ft(scen.config, base, scen, Schedule("scripted", [Decision("crash", node=2)]), s=1)
+    assert not v.passed
+    assert v.witness == {"reason": "base run has 1 crashes, needs <= 0"}

@@ -373,6 +373,15 @@ def test_trace_index_matches_fresh_scans(tmp_path):
                 assert concurrent(trace, t1, t2) == (s1 <= e2 and s2 <= e1), (label, t1, t2)
         hb = happened_before(trace)
         assert hb == _ref_happened_before(trace), label
+        # Why the invariant suite need not check depth along happened-before:
+        # preds point backwards, depth never falls along a pred edge, and a
+        # recv is deeper than its send.
+        index = trace.index
+        for i, preds in enumerate(index.preds):
+            for p in preds:
+                assert p < i and index.depths[p] <= index.depths[i], (label, p, i)
+        for recv_i, send_i in index.send_of.items():
+            assert index.depths[recv_i] > index.depths[send_i], (label, send_i, recv_i)
         for txn in trace.txns():
             resp = _ref_response(trace, txn)
             assert trace.coordinator_response(txn) is resp, (label, txn)

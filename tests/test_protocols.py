@@ -59,6 +59,17 @@ def test_read_handler_quiescent_item(one_node_two_items):
     assert [op for (_, op, _, _, _) in h.prims] == ["read"] * 5
 
 
+def test_read_handler_rechecks_the_lock_after_the_seqnum_read(one_node_two_items):
+    # A writer takes A.lockS between the seqNum read and the lockS recheck:
+    # the handler retries from its first lockS read.
+    env = _env(one_node_two_items)
+    gen = env.node_handler(0, FakeMsg(pmsg("read", {"key": "A", "round": 1})))
+    effects = [gen.send(ret) for ret in (None, None, 0, "t9")]
+    assert [(e.obj, e.op) for e in effects] == [
+        ("A.lockS", "read"), ("A.seqNum", "read"), ("A.lockS", "read"), ("A.lockS", "read"),
+    ]
+
+
 def test_validate_handler_fresh_state(one_node_two_items):
     env = _env(one_node_two_items)
     h = HandlerHarness(NodeMemory(0, ["A", "B"], {"A": None, "B": None}))
@@ -192,6 +203,15 @@ def test_sequential_conflicting_txns_both_commit(base):
     r2 = res.trace.coordinator_response("t2")
     assert r1.outcome == "commit" and r2.outcome == "commit"
     assert r2.read_set == [["X", "first"]]
+
+
+def test_transaction_with_nothing_to_validate_commits_without_messages(base):
+    # No reads and a write rule that never fires: no node to contact, so
+    # the coordinator commits at once.
+    scen = make_scenario({"X": None}, {"X": [0]}, 1, 0, [("t1", 0, [], [("X", "never", None)])])
+    steps = run(scen.config, base, scen, Schedule("fair")).trace.steps
+    assert [s.kind for s in steps] == ["invoke", "response"]
+    assert (steps[1].outcome, steps[1].read_set, steps[1].write_set) == ("commit", [], [])
 
 
 def test_concurrent_writer_aborts_reader_validation(base):
