@@ -403,7 +403,6 @@ class Simulation:
         A handler without one (a straggler drain, a finished handler's clone)
         has its `_Response` staged and waits on nothing: it is never resumed."""
         h = proc.handler
-        assert h is not None
         try:
             if h.gen is _RECREATE:
                 h.gen = h.recreate(self.env, proc.ref.node)
@@ -422,14 +421,15 @@ class Simulation:
             h.waiting = None
 
     def _execute_pending(self, proc: _Proc) -> None:
-        """Run one staged effect as one handler step."""
+        """Run one staged effect as one handler step. The process has a
+        handler; ScheduleStuck if it has nothing staged (it waits)."""
         h = proc.handler
-        assert h is not None and h.pending is not None
         eff = h.pending
+        if eff is None:
+            raise ScheduleStuck(f"process {proc.ref.to_json()} has no pending step")
         h.pending = None
         if isinstance(eff, PrimOp):
-            mem = self.memories[proc.ref.node]
-            ret, nontrivial = mem.apply(proc.ref.node, eff.op, eff.obj, eff.args)
+            ret, nontrivial = self.memories[proc.ref.node].apply(eff.op, eff.obj, eff.args)
             self._log(
                 PRIM, proc.ref, h.txn,
                 obj=eff.obj, op=eff.op, nontrivial=nontrivial, args=list(eff.args), ret=ret,
@@ -568,25 +568,14 @@ class Simulation:
     # -- decision application -----------------------------------------------
 
     def _enabled(self, d: Decision) -> bool:
-        if d.t == "tick":
+        """Whether a scripted decision can be taken now: a tick, one of
+        enabled_choices(), or the delivery of an in-flight message to a
+        crashed node, which apply records as a drop."""
+        if d.t == "tick" or d in self.enabled_choices():
             return True
-        if d.t == "step":
-            return d.proc in self.procs and self._steppable(self.procs[d.proc])
-        if d.t == "deliver":
-            msg = self.inflight.get(d.msg)
-            if msg is None:
-                return False
-            if msg.dst[0] == "node" and msg.dst[1] in self.crashed:
-                return True  # applying it records the drop
-            return self._deliverable(msg)
-        if d.t == "crash":
-            return (
-                d.node is not None
-                and 0 <= d.node < self.config.n_nodes
-                and d.node not in self.crashed
-                and len(self.crashed) < self.scenario.placement.f
-            )
-        return False
+        msg = self.inflight.get(d.msg)
+        return (msg is not None and d == msg.deliver
+                and msg.dst[0] == "node" and msg.dst[1] in self.crashed)
 
     def apply(self, d: Decision) -> None:
         if len(self.decisions_taken) >= MAX_DECISIONS:
@@ -618,14 +607,13 @@ class Simulation:
             h.waiting = None
             self._advance(proc, TIMEOUT)
             return
+        self._execute_pending(proc)
         if self.granularity == "atomic":
-            # Run the handler's whole pending section (until it blocks on a
-            # receive or finishes); used by the explorer, where handler
+            # Run the rest of the handler's pending section (until it blocks
+            # on a receive or finishes); used by the explorer, where handler
             # sections are the scheduling unit.
             while proc.handler is not None and proc.handler.pending is not None:
                 self._execute_pending(proc)
-        else:
-            self._execute_pending(proc)
 
     def _apply_deliver(self, d: Decision) -> None:
         msg = self.inflight.get(d.msg)
@@ -645,16 +633,19 @@ class Simulation:
             self._advance(proc, None)
         else:
             proc = self._clients[target]
+            h = proc.handler
+            if h is not None and (h.waiting is None or h.txn != msg.txn):
+                raise ScheduleStuck(
+                    f"client {target} is not waiting for message {msg.msg_id} of {msg.txn}"
+                )
             proc.inbound -= 1
             self._log(RECV, proc.ref, msg.txn, msgId=msg.msg_id, payload=msg.payload)
-            if proc.handler is None:
+            if h is None:
                 # Late straggler: drain with a degenerate handler.
                 h = _Handler(None, msg.txn, coordinator=False)
                 h.pending = _Response(None)
                 proc.handler = h
             else:
-                h = proc.handler
-                assert h.waiting is not None and h.txn == msg.txn
                 h.waiting = None
                 self._advance(proc, msg)
 

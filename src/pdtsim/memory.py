@@ -1,11 +1,11 @@
 """Instrumented per-node shared memory.
 
 Every data item replica is four base objects ("X1.val", "X1.seqNum",
-"X1.lockS", "X1.lockL") plus one "node.globalLock" per node. All accesses go
-through read/write/cas, each of which logs exactly one primitive step; reads
-are trivial, writes and both CAS outcomes are non-trivial (a CAS may modify
-the object regardless of success; the alternative reading, where a failed CAS
-is trivial, is noted but not adopted).
+"X1.lockS", "X1.lockL") plus one "node.globalLock" per node. Every access is
+one NodeMemory.apply of a read, write or cas, which the engine logs as exactly
+one primitive step; reads are trivial, writes and both CAS outcomes are
+non-trivial (a CAS may modify the object regardless of success; the
+alternative reading, where a failed CAS is trivial, is noted but not adopted).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ CAS = "cas"
 
 
 class NodeMemory:
-    """Base objects of one node, with a logging hook for primitive steps."""
+    """Base objects of one node."""
 
     def __init__(self, node_id: int, items: list[str], initials: dict[str, Any]):
         self.node_id = node_id
@@ -33,38 +33,23 @@ class NodeMemory:
             self.cells[f"{item}.lockS"] = None
             self.cells[f"{item}.lockL"] = None
 
-    def _check(self, proc_node: int, name: str) -> None:
-        if proc_node != self.node_id:
-            raise CrossNodeAccess(
-                f"process on node {proc_node} touched node {self.node_id} memory"
-            )
-        if name not in self.cells:
+    def apply(self, op: str, name: str, args: list) -> tuple[Any, bool]:
+        """Run one primitive; returns (return value, nontrivial flag). The
+        caller picks the memory of the process's own node, so an unknown
+        object is one that this node does not hold."""
+        cells = self.cells
+        if name not in cells:
             raise CrossNodeAccess(f"no base object {name!r} on node {self.node_id}")
-
-    def read(self, proc_node: int, name: str) -> tuple[Any, bool]:
-        self._check(proc_node, name)
-        return self.cells[name], False
-
-    def write(self, proc_node: int, name: str, value: Any) -> tuple[Any, bool]:
-        self._check(proc_node, name)
-        self.cells[name] = value
-        return None, True
-
-    def cas(self, proc_node: int, name: str, expected: Any, new: Any) -> tuple[Any, bool]:
-        self._check(proc_node, name)
-        ok = self.cells[name] == expected
-        if ok:
-            self.cells[name] = new
-        return ok, True
-
-    def apply(self, proc_node: int, op: str, name: str, args: list) -> tuple[Any, bool]:
-        """Run one primitive; returns (return value, nontrivial flag)."""
         if op == READ:
-            return self.read(proc_node, name)
+            return cells[name], False
         if op == WRITE:
-            return self.write(proc_node, name, args[0])
+            cells[name] = args[0]
+            return None, True
         if op == CAS:
-            return self.cas(proc_node, name, args[0], args[1])
+            ok = cells[name] == args[0]
+            if ok:
+                cells[name] = args[1]
+            return ok, True
         raise ValueError(f"unknown primitive {op!r}")
 
     def snapshot(self) -> dict[str, Any]:
@@ -90,7 +75,7 @@ def replay_nontrivial(trace: ExecutionTrace, node_id: int, items: list[str],
             continue
         if s.proc is None or s.proc.node != node_id:
             continue
-        mem.apply(node_id, s.op, s.obj, s.fields.get("args") or [])
+        mem.apply(s.op, s.obj, s.fields.get("args") or [])
     return mem.snapshot()
 
 

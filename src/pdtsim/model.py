@@ -175,16 +175,35 @@ class Step:
             raise MalformedInput(f"trace step {i}: 'txn' must be a string or null, not {txn!r}")
         proc = fields.pop("proc", None)
         proc = ProcessRef.from_json(proc, procs) if proc else None
-        if kind == RESPONSE:
-            for key in ("readSet", "writeSet"):
-                entries = fields.get(key)
-                if entries is not None and not (isinstance(entries, list) and all(
-                    isinstance(e, list) and len(e) == 2 and type(e[0]) is str for e in entries
-                )):
-                    raise MalformedInput(
-                        f"response field {key!r} must list [item, value] pairs, not {entries!r}"
-                    )
+        if kind != PRIM:  # prims, most steps, carry no field that analysis keys on
+            _check_keyed_fields(kind, fields, i)
         return Step(i, kind, proc, txn, fields)
+
+
+# The integer fields that trace analysis keys dicts and sets on, by step kind
+# and, under "drop", in a drop note's data.
+_INT_FIELDS = {SEND: ("msgId",), RECV: ("msgId",), CRASH: ("node",), "drop": ("msgId", "node")}
+
+
+def _check_keyed_fields(kind: str, fields: dict, i: int) -> None:
+    """MalformedInput unless the fields that trace analysis keys on are
+    typed: the integers of _INT_FIELDS, and a response's [item, value] pairs."""
+    if kind == NOTE and fields.get("tag") == "drop":
+        kind, fields = "drop", json_object(fields.get("data"), f"trace step {i}: drop note 'data'")
+    for key in _INT_FIELDS.get(kind, ()):
+        if type(fields.get(key)) is not int:
+            raise MalformedInput(
+                f"trace step {i}: {kind} field {key!r} must be an integer, not {fields.get(key)!r}"
+            )
+    if kind == RESPONSE:
+        for key in ("readSet", "writeSet"):
+            entries = fields.get(key)
+            if entries is not None and not (isinstance(entries, list) and all(
+                isinstance(e, list) and len(e) == 2 and type(e[0]) is str for e in entries
+            )):
+                raise MalformedInput(
+                    f"response field {key!r} must list [item, value] pairs, not {entries!r}"
+                )
 
 
 @dataclass

@@ -95,7 +95,7 @@ class HandlerHarness:
             except StopIteration:
                 return
             if isinstance(eff, PrimOp):
-                ret, nontrivial = self.memory.apply(self.memory.node_id, eff.op, eff.obj, eff.args)
+                ret, nontrivial = self.memory.apply(eff.op, eff.obj, eff.args)
                 self.prims.append((eff.obj, eff.op, list(eff.args), ret, nontrivial))
                 value = ret
             elif isinstance(eff, SendMsg):

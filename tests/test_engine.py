@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import pdtsim
 from pdtsim import run
 from pdtsim.checkers import check_serializability
 from pdtsim.engine import (
+    GRANULARITIES,
     TIMEOUT,
     Decision,
     FairPolicy,
@@ -117,6 +122,84 @@ def test_schedule_stuck_on_non_enabled_decision(base):
     bad = Schedule("scripted", [Decision("deliver", msg=99)])
     with pytest.raises(ScheduleStuck):
         run(scen.config, base, scen, bad)
+
+
+def _late_read_replies():
+    """A k=5, f=2 solo run whose client has responded while two of its
+    readReplies were still to come: the Simulation and the two deliveries,
+    back to back. The second is not enabled: the first staged a drain."""
+    scen = make_scenario({"X": None}, {"X": [0, 1, 2, 3, 4]}, 5, 2, [("t1", 0, ["X"], [])],
+                         procs=1)
+    sim = Simulation(scen.config, AlgorithmVariant("base"), scen)
+    held = (("node", 3), ("node", 4))
+    while not sim.all_decided():
+        sim.apply(next(d for d in sim.enabled_choices() if d.t != "crash"
+                       and not (d.t == "deliver" and sim.inflight[d.msg].dst in held)))
+    drv = Driver(sim)
+    for msg in drv.inflight(lambda m: m.dst in held):
+        drv.deliver(msg.msg_id)
+        drv.run_nodes()
+    late = drv.inflight(lambda m: m.payload["kind"] == "readReply")
+    return sim, [m.deliver for m in late]
+
+
+def _step_while_waiting(granularity: str = "exact"):
+    """A solo run whose client waits for its read replies with no timer, and
+    a step decision for that client."""
+    scen = scenario_solo(1)
+    sim = Simulation(scen.config, AlgorithmVariant("base"), scen, granularity)
+    client = ProcessRef.client(0)
+    Driver(sim).run_proc(client)
+    return sim, [Decision("step", proc=client)]
+
+
+def _stuck(make) -> str:
+    """The ScheduleStuck message of the last decision `make` returns."""
+    sim, decisions = make()
+    for d in decisions[:-1]:
+        sim.apply(d)
+    with pytest.raises(ScheduleStuck) as stuck:
+        sim.apply(decisions[-1])
+    return str(stuck.value)
+
+
+def test_second_late_read_reply_stops_the_run():
+    sim, (first, second) = _late_read_replies()
+    sim.apply(first)
+    with pytest.raises(ScheduleStuck) as stuck:
+        sim.apply(second)
+    assert str(stuck.value) == f"client 0 is not waiting for message {second.msg} of t1"
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_step_of_a_waiting_handler_stops_the_run(granularity):
+    sim, (step,) = _step_while_waiting(granularity)
+    with pytest.raises(ScheduleStuck) as stuck:
+        sim.apply(step)
+    assert str(stuck.value) == f"process {step.proc.to_json()} has no pending step"
+
+
+# The engine's guards must still raise with asserts stripped.
+_STUCK_REPRO = """
+from pdtsim.errors import ScheduleStuck
+from test_engine import _late_read_replies, _step_while_waiting
+for make in (_late_read_replies, _step_while_waiting):
+    sim, decisions = make()
+    try:
+        for d in decisions:
+            sim.apply(d)
+    except ScheduleStuck as e:
+        print(e)
+"""
+
+
+def test_engine_guards_raise_under_python_O():
+    path = os.pathsep.join([str(Path(pdtsim.__file__).parents[1]), str(Path(__file__).parent)])
+    out = subprocess.run([sys.executable, "-O", "-c", _STUCK_REPRO],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    expected = [_stuck(_late_read_replies), _stuck(_step_while_waiting)]
+    assert out.stdout.splitlines() == expected
 
 
 def test_crash_budget_enforced(base):

@@ -484,6 +484,26 @@ def test_cli_run_rejects_unknown_granularity(tmp_path, capsys, granularity):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+def test_cli_run_rejects_a_decision_with_extra_fields(tmp_path, capsys):
+    # A scripted decision is enabled only as the run would name it: a
+    # delivery that also carries a node is not the delivery of that message.
+    client = {"kind": "client", "node": None, "idx": 0}
+    sched = tmp_path / "sched.json"
+    out = str(tmp_path / "x.jsonl")
+
+    def run_script(deliver: dict) -> int:
+        decisions = [{"t": "step", "proc": client}] * 2 + [deliver]
+        sched.write_text(json.dumps({"kind": "scripted", "decisions": decisions}))
+        return main(["run", "--scenario", "solo-r1", "--algorithm", "base",
+                     "--schedule", str(sched), "--out", out])
+
+    assert run_script({"t": "deliver", "msg": 0}) == 0
+    capsys.readouterr()
+    assert run_script({"t": "deliver", "msg": 0, "node": 0}) == 2
+    err = capsys.readouterr().err
+    assert err == "error: scripted decision {'t': 'deliver', 'msg': 0, 'node': 0} is not enabled\n"
+
+
 _SCENARIO = {
     "items": [{"id": "X", "initial": None}], "placement": {"X": [0]}, "k": 1, "f": 0,
     "transactions": [{"txnId": "t1", "client": 0, "readSet": ["X"], "writeRule": []}],
@@ -530,6 +550,13 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     # Text, not an object: the fourth line cut short, a sidecar cut short.
     ("step", '{"i":3,"kind":"send"'),
     ("sidecar", '{"scenario": {'),
+    # One field of the first step of a kind (or of the first drop note) in a
+    # crash-injected rfids run.
+    ("crashed-step", ("send", {"msgId": [1]})),
+    ("crashed-step", ("recv", {"msgId": {"id": 1}})),
+    ("crashed-step", ("crash", {"node": [0]})),
+    ("crashed-step", ("drop", {"data": {"msgId": [1], "node": 0}})),
+    ("crashed-step", ("drop", {"data": [1]})),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
@@ -537,7 +564,9 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "condition-unknown", "trace-line-list", "read-item-list", "read-entry-short",
         "write-entry-str", "write-set-int", "sidecar-list", "algorithm-list",
         "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int",
-        "step-syntax-error", "sidecar-syntax-error"])
+        "step-syntax-error", "sidecar-syntax-error",
+        "send-msgid-list", "recv-msgid-object", "crash-node-list", "drop-msgid-list",
+        "drop-data-list"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     text = document if isinstance(document, str) else json.dumps(document)
@@ -574,6 +603,24 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
         assert main(["check", "--trace", str(out), "--property", "read-delay"]) == 2
         assert capsys.readouterr().err.startswith("error: trace step 3: ")
         argv = ["check", "--trace", str(out), "--property", "serializability"]
+    elif command == "crashed-step":
+        sched = tmp_path / "crash.json"
+        sched.write_text(json.dumps({"kind": "scripted", "decisions": [{"t": "crash", "node": 0}]}))
+        assert main(["run", "--scenario", "rfids", "--algorithm", "base", "--schedule", str(sched),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        kind, edit = document
+        lines = out.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        i = next(r["i"] for r in records if r["kind"] == kind or r.get("tag") == kind)
+        lines[i] = json.dumps({**records[i], **edit})
+        out.write_text("\n".join(lines) + "\n")
+        # Each of these died with a TypeError (an unhashable message id or
+        # node) while the fields were untyped.
+        for prop in ("dap", "ddap"):
+            assert main(["check", "--trace", str(out), "--property", prop]) == 2
+            assert capsys.readouterr().err.startswith(f"error: trace step {i}: ")
+        argv = ["check", "--trace", str(out), "--property", "weak-progress"]
     elif command == "scenario":
         argv = ["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
                 "--out", str(out)]

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no unused imports (in its tests too), no
 unreferenced private module-level functions or classes, and no class field
-that nothing reads, so a deletion leaves no stragglers behind."""
+that nothing reads, so a deletion leaves no stragglers behind; and no
+`assert` statement, since `python -O` strips them and a guard must raise."""
 from __future__ import annotations
 
 import ast
@@ -82,3 +83,12 @@ def test_no_unread_class_fields():
         and field.target.id not in loaded
     ]
     assert unread == []
+
+
+def test_no_assert_statements():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -18,33 +18,31 @@ def mem():
 
 
 def test_fresh_objects(mem):
-    assert mem.read(0, "X1.seqNum") == (0, False)
-    assert mem.read(0, "X1.val") == (None, False)
-    assert mem.read(0, "X1.lockS") == (None, False)
-    assert mem.read(0, "node.globalLock") == (None, False)
+    assert mem.apply("read", "X1.seqNum", []) == (0, False)
+    assert mem.apply("read", "X1.val", []) == (None, False)
+    assert mem.apply("read", "X1.lockS", []) == (None, False)
+    assert mem.apply("read", "node.globalLock", []) == (None, False)
 
 
 def test_write_then_read(mem):
-    ret, nontrivial = mem.write(0, "X1.val", 5)
+    ret, nontrivial = mem.apply("write", "X1.val", [5])
     assert nontrivial
-    assert mem.read(0, "X1.val") == (5, False)
+    assert mem.apply("read", "X1.val", []) == (5, False)
 
 
 def test_cas_semantics(mem):
-    ok, nontrivial = mem.cas(0, "X1.lockL", None, "t1")
+    ok, nontrivial = mem.apply("cas", "X1.lockL", [None, "t1"])
     assert ok and nontrivial
-    assert mem.read(0, "X1.lockL")[0] == "t1"
+    assert mem.apply("read", "X1.lockL", [])[0] == "t1"
     # CAS against a held lock fails, leaves the value, and is still non-trivial.
-    ok, nontrivial = mem.cas(0, "X1.lockL", None, "t2")
+    ok, nontrivial = mem.apply("cas", "X1.lockL", [None, "t2"])
     assert not ok and nontrivial
-    assert mem.read(0, "X1.lockL")[0] == "t1"
+    assert mem.apply("read", "X1.lockL", [])[0] == "t1"
 
 
 def test_cross_node_access(mem):
     with pytest.raises(CrossNodeAccess):
-        mem.read(1, "X1.val")
-    with pytest.raises(CrossNodeAccess):
-        mem.read(0, "X9.val")
+        mem.apply("read", "X9.val", [])
 
 
 def test_replay_nontrivial_reproduces_state(base):

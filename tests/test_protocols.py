@@ -7,12 +7,16 @@ from __future__ import annotations
 
 import pytest
 
+from pdtsim import explore as explore_module
 from pdtsim import run
-from pdtsim.checkers import verify_trace_invariants
+from pdtsim.checkers import check_serializability, verify_trace_invariants
 from pdtsim.engine import Schedule, Simulation
+from pdtsim.errors import InvariantViolation
+from pdtsim.explore import explore_exhaustive
 from pdtsim.memory import NodeMemory
-from pdtsim.model import ProcessRef
+from pdtsim.model import ProcessRef, derive_history
 from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv, pmsg
+from pdtsim.scenarios import get_scenario
 
 from conftest import Driver, FakeMsg, HandlerHarness, make_scenario, run_sequential
 
@@ -298,3 +302,32 @@ def test_read_retries_exhausted_on_two_replicas_aborts(tag):
     assert not any(s.kind == "send" and s.txn == "r" and s.payload["kind"] == "validate"
                    for s in trace.steps)
     verify_trace_invariants(trace)
+
+
+# Known-defect pins (ROADMAP item 14). Validation checks an item's lockL and
+# seqNum and only then CASes its lockL, so at exact granularity two
+# validations on one node can interleave between check and CAS, and both
+# transactions of the write skew
+#   t1:[read(X1)=None;write(X2)='v2']|t2:[read(X2)=None;write(X1)='v1']
+# commit. Each test asserts what should hold; the fix makes it pass, and
+# `strict` then fails it until the marker is dropped.
+_ITEM_14 = "ROADMAP item 14: validation checks lockL before it CASes it"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_14)
+def test_no_seamless_random_105_is_serializable():
+    scen = get_scenario("fids-replicated")
+    res = run(scen.config, AlgorithmVariant("no-seamless"), scen, Schedule("random", seed=105))
+    try:
+        verify_trace_invariants(res.trace)
+    except InvariantViolation as e:  # an AssertionError, but not the pinned defect
+        pytest.fail(f"invariant suite: {e}")
+    history = derive_history(res.trace)
+    assert check_serializability(history).passed, history.canonical()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_14)
+def test_weak_ir_exact_exploration_finds_no_violation(monkeypatch):
+    monkeypatch.setattr(explore_module, "GRANULARITY", "exact")
+    result = explore_exhaustive(AlgorithmVariant("weak-ir"), get_scenario("fids"), bound=10_000)
+    assert [v["history"] for v in result.violations] == []
