@@ -14,7 +14,6 @@ from .engine import Schedule, SimConfig
 from .errors import InvariantViolation, ScheduleIncompatible
 from .memory import GLOBAL_LOCK, contending_pairs
 from .model import (
-    CRASH,
     INVOKE,
     NOTE,
     PRIM,
@@ -241,23 +240,21 @@ def check_weak_progress(traces: list[ExecutionTrace]) -> Verdict:
 
 def check_weak_ir(trace: ExecutionTrace) -> Verdict:
     """Transactions whose reported write set is empty execute no non-trivial prims."""
-    empty_ws = set()
+    read_only = {txn for txn, resp in trace.index.responses.items() if not resp.write_set}
     for s in trace.steps:
-        if s.kind == RESPONSE and s.outcome is not None and not s.write_set:
-            empty_ws.add(s.txn)
-    for s in trace.steps:
-        if s.kind == PRIM and s.nontrivial and s.txn in empty_ws:
+        if s.kind == PRIM and s.nontrivial and s.txn in read_only:
             return Verdict(
                 "weak-ir", False,
                 witness={"txn": s.txn, "step": s.i, "obj": s.obj, "op": s.op},
             )
-    return Verdict("weak-ir", True, details={"readOnlyTxns": sorted(empty_ws)})
+    return Verdict("weak-ir", True, details={"readOnlyTxns": sorted(read_only)})
 
 
 def _nontrivial_footprint(trace: ExecutionTrace, txn: str) -> list[tuple]:
     out = []
-    for s in trace.steps:
-        if s.kind == PRIM and s.nontrivial and s.txn == txn:
+    for i in trace.index.txn_steps.get(txn, ()):
+        s = trace.steps[i]
+        if s.kind == PRIM and s.nontrivial:
             out.append((s.proc.node, s.obj, s.op, repr(s.fields.get("args")), repr(s.fields.get("ret"))))
     return sorted(out)
 
@@ -265,9 +262,8 @@ def _nontrivial_footprint(trace: ExecutionTrace, txn: str) -> list[tuple]:
 def _structural_projection(trace: ExecutionTrace, txn: str) -> list[tuple]:
     """A transaction's step sequence with message ids and indices erased."""
     out = []
-    for s in trace.steps:
-        if s.txn != txn:
-            continue
+    for i in trace.index.txn_steps.get(txn, ()):
+        s = trace.steps[i]
         proc = s.proc.to_json() if s.proc else None
         if s.kind == PRIM:
             content = (s.obj, s.op, repr(s.fields.get("args")), repr(s.fields.get("ret")))
@@ -394,11 +390,10 @@ def check_fast_decision(trace: ExecutionTrace) -> Verdict:
     """On a synchronous failure-free solo trace: knowledge of read values must
     grow every two message delays, and the decision lands within two delays of
     the last value learned."""
-    crash_free = not any(s.kind == CRASH for s in trace.steps)
-    if not crash_free:
+    index = trace.index
+    if index.crashes:
         return Verdict("fast-decision", False,
                        witness={"reason": "trace is not failure-free"})
-    index = trace.index
     results = []
     for txn in index.txn_steps:
         resp = trace.coordinator_response(txn)
@@ -498,13 +493,12 @@ def check_seamless_ft(
         return Verdict("seamless-ft", False,
                        witness={"reason": f"f={scenario.placement.f} < s={s}"})
     base = engine.run(config, variant, scenario, schedule)
-    base_crashes = [s_ for s_ in base.trace.steps if s_.kind == CRASH]
-    if len(base_crashes) > s - 1:
+    crashed_nodes = base.trace.index.crashes
+    if len(crashed_nodes) > s - 1:
         return Verdict("seamless-ft", False,
-                       witness={"reason": f"base run has {len(base_crashes)} crashes, needs <= {s - 1}"})
+                       witness={"reason": f"base run has {len(crashed_nodes)} crashes, needs <= {s - 1}"})
     base_sig = _coordinator_signature(base.trace)
     base_depths = _decided_depths(base.trace)
-    crashed_nodes = {s_.fields["node"] for s_ in base_crashes}
 
     first_pos = 0
     for i, d in enumerate(base.decisions):
@@ -568,9 +562,11 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
     per-item seqNum monotonicity, long-lock safety, lock release by interval
     end (crash-free traces), read atomicity (when the scenario is attached),
     decision agreement, weak invisible reads, and the read-delay bound (when
-    f >= 1 and k >= 3). Depth along happened-before needs no clause, as
-    `TraceIndex.depths` shows; nor does acyclicity, as `TraceIndex.preds`
-    shows, but `perfbench`'s self-test still requires `happened_before`.
+    f >= 1 and k >= 3). One replay of the base objects serves the seqNum,
+    lock and read-atomicity clauses. Depth along happened-before needs no
+    clause, as `TraceIndex.depths` shows; nor does acyclicity, as
+    `TraceIndex.preds` shows, but `perfbench`'s self-test still requires
+    `happened_before`.
     """
     # Message integrity: unique matching sends, no double delivery.
     seen_recv: set[Any] = set()
@@ -590,13 +586,11 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
             seen_recv.add(s.msg_id)
 
     # Crash finality.
-    crashed_at: dict[int, int] = {}
-    for s in trace.steps:
-        if s.kind == CRASH:
-            crashed_at[s.fields["node"]] = s.i
-        elif s.proc is not None and s.proc.kind == "node" and s.proc.node in crashed_at:
+    crashes = trace.index.crashes
+    for s in trace.steps:  # a client's node, None, is never a crashed node
+        if s.proc is not None and s.proc.node in crashes and s.i > crashes[s.proc.node]:
             raise InvariantViolation(
-                f"step {s.i} on node {s.proc.node} after its crash at {crashed_at[s.proc.node]}"
+                f"step {s.i} on node {s.proc.node} after its crash at {crashes[s.proc.node]}"
             )
 
     # Happened-before is a strict partial order aligned with trace order.
@@ -604,37 +598,44 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
         if not a < b:
             raise InvariantViolation(f"happened-before edge ({a},{b}) goes backwards")
 
-    # seqNum monotone per (node, object).
-    last_seq: dict[tuple[int, str], int] = {}
-    for s in trace.steps:
-        if s.kind == PRIM and s.op == "write" and s.obj.endswith(".seqNum"):
-            key = (s.proc.node, s.obj)
-            val = s.fields["args"][0]
-            if not val >= last_seq.get(key, 0):
-                raise InvariantViolation(f"seqNum decreased at step {s.i}")
-            last_seq[key] = val
-
-    # Long-lock safety: CAS wins only on free locks; writes release own locks.
-    # Each lock's (step, holder) changes are kept for the release clause.
-    holders: dict[tuple[int, str], Any] = {}
+    # One replay of the base objects, in trace order: each write or winning
+    # CAS sets ``cells[(node, obj)]``, where an object not yet set reads as
+    # seqNum 0 or lock None. ``lock_events`` keeps each long lock's (step,
+    # holder) changes for the release clause and, with the scenario attached,
+    # ``states`` every (seqNum, value) state each item replica held.
+    scenario = trace.scenario
+    cells: dict[tuple[int, str], Any] = {}
     lock_events: dict[tuple[int, str], list[tuple[int, Any]]] = {}
+    states: dict[tuple[int, str], set[tuple]] = {}
+    if scenario is not None:
+        for node in range(scenario.config.n_nodes):
+            for item in scenario.local_items(node):
+                states[(node, item)] = {(0, repr(scenario.placement.initials[item]))}
+    cas_over_held = None  # raised after the replay, as the seqNum clause comes first
     for s in trace.steps:
-        if s.kind != PRIM or not (s.obj.endswith(".lockL") or s.obj == GLOBAL_LOCK):
+        if s.kind != PRIM or not (s.op == "write" or (s.op == "cas" and s.fields["ret"] is True)):
             continue
-        key = (s.proc.node, s.obj)
-        if s.op == "cas" and s.fields["ret"] is True:
-            if holders.get(key) is not None:
-                raise InvariantViolation(f"lock CAS won over a held lock at {s.i}")
-            holders[key] = s.fields["args"][1]
-        elif s.op == "write":
-            holders[key] = s.fields["args"][0]
-        else:
-            continue
-        lock_events.setdefault(key, []).append((s.i, holders[key]))
+        value = s.fields["args"][-1]  # a write's args are [value], a CAS's [expected, value]
+        node, obj = s.proc.node, s.obj
+        key = (node, obj)
+        if obj.endswith(".seqNum"):  # seqNum monotone per (node, object)
+            if not value >= cells.get(key, 0):
+                raise InvariantViolation(f"seqNum decreased at step {s.i}")
+        elif obj.endswith(".lockL") or obj == GLOBAL_LOCK:  # a CAS wins only on a free lock
+            if s.op == "cas" and cells.get(key) is not None and cas_over_held is None:
+                cas_over_held = s.i
+            lock_events.setdefault(key, []).append((s.i, value))
+        elif obj.endswith(".val"):
+            item = obj[: -len(".val")]
+            if (node, item) in states:
+                states[(node, item)].add((cells.get((node, f"{item}.seqNum"), 0), repr(value)))
+        cells[key] = value
+    if cas_over_held is not None:
+        raise InvariantViolation(f"lock CAS won over a held lock at {cas_over_held}")
 
     # Every closed-interval transaction released its locks by interval end
     # (crash-free traces only; a crash may orphan a lock legitimately).
-    if not crashed_at:
+    if not crashes:
         for txn, (start, end) in trace.index.intervals.items():
             if end >= len(trace.steps) - 1:
                 continue  # interval still open at trace end
@@ -647,27 +648,7 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
                     raise InvariantViolation(f"{txn} still holds {key} at interval end {end}")
 
     # Read atomicity: every ok ReadReply pair matches a state the replica held.
-    states: dict[tuple[int, str], set[tuple]] = {}
-    cur_seq: dict[tuple[int, str], int] = {}
-    cur_val: dict[tuple[int, str], Any] = {}
-    if trace.scenario is not None:
-        for node in range(trace.scenario.config.n_nodes):
-            for item in trace.scenario.local_items(node):
-                cur_seq[(node, item)] = 0
-                cur_val[(node, item)] = trace.scenario.placement.initials[item]
-                states[(node, item)] = {(0, repr(trace.scenario.placement.initials[item]))}
-        for s in trace.steps:
-            if s.kind != PRIM or s.op != "write":
-                continue
-            if s.obj.endswith(".seqNum"):
-                key = (s.proc.node, s.obj[: -len(".seqNum")])
-                if key in cur_seq:
-                    cur_seq[key] = s.fields["args"][0]
-            elif s.obj.endswith(".val"):
-                key = (s.proc.node, s.obj[: -len(".val")])
-                if key in cur_val:
-                    cur_val[key] = s.fields["args"][0]
-                    states[key].add((cur_seq[key], repr(cur_val[key])))
+    if scenario is not None:
         for s in trace.steps:
             if s.kind != SEND or s.payload.get("kind") != "readReply":
                 continue
@@ -741,5 +722,5 @@ SIDECAR_REFS: dict[str, tuple[str, ...]] = {
     "strong-ir": ("scenario", "algorithm"),
     "dap": ("scenario",),
     "ddap": ("scenario",),
-    "seamless-ft": ("scenario", "schedule"),
+    "seamless-ft": ("scenario", "algorithm", "schedule"),
 }

@@ -175,8 +175,12 @@ class Step:
             raise MalformedInput(f"trace step {i}: 'txn' must be a string or null, not {txn!r}")
         proc = fields.pop("proc", None)
         proc = ProcessRef.from_json(proc, procs) if proc else None
-        if kind != PRIM:  # prims, most steps, carry no field that analysis keys on
+        if kind != PRIM:
             _check_keyed_fields(kind, fields, i)
+        elif type(fields.get("obj")) is not str:  # the one prim field analysis keys on
+            raise MalformedInput(
+                f"trace step {i}: prim field 'obj' must be a string, not {fields.get('obj')!r}"
+            )
         return Step(i, kind, proc, txn, fields)
 
 
@@ -202,7 +206,8 @@ def _check_keyed_fields(kind: str, fields: dict, i: int) -> None:
                 isinstance(e, list) and len(e) == 2 and type(e[0]) is str for e in entries
             )):
                 raise MalformedInput(
-                    f"response field {key!r} must list [item, value] pairs, not {entries!r}"
+                    f"trace step {i}: response field {key!r} must list [item, value] pairs, "
+                    f"not {entries!r}"
                 )
 
 
@@ -369,9 +374,9 @@ class TraceIndex:
 
     A trace is immutable once recorded, so ``ExecutionTrace.index`` builds
     one index per trace and every checker asks it instead of re-deriving
-    handlers, depths or intervals. Happened-before is answered per response
-    by one backward reachability pass (``ancestors``); nothing here holds
-    the full pair set.
+    handlers, depths, intervals or crashes. Happened-before is answered per
+    response by one backward reachability pass (``ancestors``); nothing here
+    holds the full pair set.
     """
 
     def __init__(self, steps: list[Step]):
@@ -389,6 +394,16 @@ class TraceIndex:
         for s in self.steps:
             if s.txn is not None:
                 out.setdefault(s.txn, []).append(s.i)
+        return out
+
+    @cached_property
+    def crashes(self) -> dict[int, int]:
+        """Step index of each crashed node's first crash. The engine never
+        crashes a node twice, so it is also the node's only crash."""
+        out: dict[int, int] = {}
+        for s in self.steps:
+            if s.kind == CRASH:
+                out.setdefault(s.fields["node"], s.i)
         return out
 
     @cached_property
@@ -550,13 +565,11 @@ class TraceIndex:
         end of the trace.
         """
         steps = self.steps
-        crash_at: dict[int, int] = {}
+        crashes = self.crashes
         dropped_to: dict[Any, int] = {}  # msgId -> crashed target node
         recv_of: dict[Any, int] = {}
         for s in steps:
-            if s.kind == CRASH:
-                crash_at[s.fields["node"]] = s.i
-            elif s.kind == NOTE and s.tag == "drop":
+            if s.kind == NOTE and s.tag == "drop":
                 dropped_to[s.data["msgId"]] = s.data["node"]
             elif s.kind == RECV:
                 recv_of[s.msg_id] = s.i
@@ -582,7 +595,7 @@ class TraceIndex:
                         end = max(end, recv_of[s.msg_id])
                     elif s.msg_id in dropped_to:
                         # The send stops blocking the interval at the target's crash.
-                        end = max(end, crash_at[dropped_to[s.msg_id]], i)
+                        end = max(end, crashes[dropped_to[s.msg_id]], i)
                     else:
                         closed = False
             if start is not None:

@@ -539,9 +539,9 @@ def test_invariants_read_the_node_count_from_the_scenario(base):
     verify_trace_invariants(ExecutionTrace(steps, scenario=scen))
 
 
-def _recorded(name: str) -> ExecutionTrace:
-    """A fair base-variant trace of one of the scenarios the edits below use."""
-    base = AlgorithmVariant("base")
+def _recorded(name: str, variant: str = "base") -> ExecutionTrace:
+    """A fair trace, under ``variant``, of one of the scenarios the edits below use."""
+    algorithm = AlgorithmVariant(variant)
     if name == "sequential-writers":
         # Client 0 runs t1, t2, t3 one after another on a single node.
         scen = make_scenario({"X": None, "Y": None}, {"X": [0], "Y": [0]}, 1, 0, [
@@ -551,17 +551,17 @@ def _recorded(name: str) -> ExecutionTrace:
         ])
     else:
         scen = get_scenario(name.removesuffix("-crash"))
-    res = run(scen.config, base, scen, Schedule("fair"))
+    res = run(scen.config, algorithm, scen, Schedule("fair"))
     if name.endswith("-crash"):
         # Node 2 crashes once everything has run.
-        res = run(scen.config, base, scen, Schedule(
+        res = run(scen.config, algorithm, scen, Schedule(
             "scripted", list(res.decisions) + [Decision("crash", node=2)]))
     return res.trace
 
 
-def _edited(name: str, edit) -> ExecutionTrace:
+def _edited(name: str, edit, variant: str = "base") -> ExecutionTrace:
     """The recorded trace with one edit to a copy of its steps, renumbered."""
-    trace = _recorded(name)
+    trace = _recorded(name, variant)
     steps = [Step(s.i, s.kind, s.proc, s.txn, copy.deepcopy(s.fields)) for s in trace.steps]
     edit(steps)
     for i, s in enumerate(steps):
@@ -618,7 +618,8 @@ def _delete(pred):
     return edit
 
 
-# One minimal edit per invariant clause, with the message the clause raises.
+# One minimal edit per invariant clause, with the message the clause raises
+# and, when it is not base, the variant the trace is recorded under.
 # The happened-before clause (edges point forward) has no case because it
 # cannot fire: every predecessor in TraceIndex.preds has a smaller index.
 INVARIANT_EDITS = {
@@ -638,6 +639,9 @@ INVARIANT_EDITS = {
     "cas-over-held-lock": (
         "sequential-writers", _delete(_is("prim", "t1", op="write", obj="X.lockL")),
         "lock CAS won over a held lock at 23"),
+    "cas-over-held-global-lock": (
+        "sequential-writers", _delete(_is("prim", "t1", op="write", obj="node.globalLock")),
+        "lock CAS won over a held lock at 23", "no-ddap"),
     "still-holds": (
         "sequential-writers", _delete(_is("prim", "t2", op="write", obj="X.lockL")),
         "t2 still holds (0, 'X.lockL') at interval end 40"),
@@ -658,10 +662,10 @@ INVARIANT_EDITS = {
 
 @pytest.mark.parametrize("clause", INVARIANT_EDITS)
 def test_invariants_catch_one_edit(clause):
-    name, edit, message = INVARIANT_EDITS[clause]
-    verify_trace_invariants(_recorded(name))
+    name, edit, message, *variant = INVARIANT_EDITS[clause]
+    verify_trace_invariants(_recorded(name, *variant))
     with pytest.raises(InvariantViolation) as caught:
-        verify_trace_invariants(_edited(name, edit))
+        verify_trace_invariants(_edited(name, edit, *variant))
     assert str(caught.value) == message
 
 
@@ -681,7 +685,7 @@ def test_every_invariant_clause_has_an_edit():
             parts = message.values if isinstance(message, ast.JoinedStr) else [message]
             pieces.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
     assert len(pieces) >= len(INVARIANT_EDITS)
-    messages = [message for _, _, message in INVARIANT_EDITS.values()]
+    messages = [message for _, _, message, *_ in INVARIANT_EDITS.values()]
     for piece in pieces:
         if piece not in UNFALSIFIABLE_CLAUSES:
             assert any(piece in m for m in messages), f"no INVARIANT_EDITS case raises {piece!r}"

@@ -10,7 +10,7 @@ import pytest
 
 import pdtsim
 from pdtsim import run
-from pdtsim.checkers import check_read_delay, check_serializability
+from pdtsim.checkers import PROPERTIES, SIDECAR_REFS, check_read_delay, check_serializability
 from pdtsim.cli import main
 from pdtsim.engine import Decision, Schedule, Simulation
 from pdtsim.explore import explore
@@ -391,6 +391,26 @@ def test_cli_run_and_check(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {prop} needs the trace's .meta.json sidecar\n"
 
 
+@pytest.mark.parametrize("ref", ["scenario", "algorithm", "schedule"])
+def test_cli_check_with_a_null_sidecar_ref(tmp_path, capsys, ref):
+    # Every property checks, fails or exits 2 on a sidecar with one ref
+    # null, and a property that reads the ref asks for the sidecar.
+    # seamless-ft with a null algorithm died with an AttributeError.
+    out = tmp_path / "t.jsonl"
+    assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(out)]) == 0
+    sidecar = Path(str(out) + ".meta.json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), ref: None}))
+    capsys.readouterr()
+    for prop in PROPERTIES:
+        code = main(["check", "--trace", str(out), "--property", prop])
+        err = capsys.readouterr().err
+        if ref in SIDECAR_REFS.get(prop, ()):
+            assert (code, err) == (2, f"error: {prop} needs the trace's .meta.json sidecar\n")
+        else:
+            assert code in (0, 1, 2), (prop, code)
+
+
 def test_cli_explore(tmp_path):
     out = tmp_path / "explore.json"
     assert main(["explore", "--scenario", "fids", "--algorithm", "base",
@@ -557,6 +577,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("crashed-step", ("crash", {"node": [0]})),
     ("crashed-step", ("drop", {"data": {"msgId": [1], "node": 0}})),
     ("crashed-step", ("drop", {"data": [1]})),
+    ("crashed-step", ("prim", {"obj": ["X1.lockS"]})),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
@@ -566,7 +587,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int",
         "step-syntax-error", "sidecar-syntax-error",
         "send-msgid-list", "recv-msgid-object", "crash-node-list", "drop-msgid-list",
-        "drop-data-list"])
+        "drop-data-list", "prim-obj-list"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     text = document if isinstance(document, str) else json.dumps(document)
@@ -615,8 +636,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
         i = next(r["i"] for r in records if r["kind"] == kind or r.get("tag") == kind)
         lines[i] = json.dumps({**records[i], **edit})
         out.write_text("\n".join(lines) + "\n")
-        # Each of these died with a TypeError (an unhashable message id or
-        # node) while the fields were untyped.
+        # Each of these died with a TypeError (an unhashable message id,
+        # node or object name) while the fields were untyped.
         for prop in ("dap", "ddap"):
             assert main(["check", "--trace", str(out), "--property", prop]) == 2
             assert capsys.readouterr().err.startswith(f"error: trace step {i}: ")
@@ -630,6 +651,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if command == "check" and isinstance(document, dict):
+        assert err.startswith("error: trace step 0: "), err
     if command == "sidecar" and isinstance(document, str):
         assert err.startswith("error: trace sidecar: "), err
 

@@ -362,6 +362,8 @@ def _cross_validation_traces(tmp_path):
 
 def test_trace_index_matches_fresh_scans(tmp_path):
     for label, trace in _cross_validation_traces(tmp_path):
+        crashes = [s for s in trace.steps if s.kind == "crash"]
+        assert trace.index.crashes == {s.fields["node"]: s.i for s in reversed(crashes)}, label
         depths, _ = _ref_depths(trace)
         assert step_depths(trace) == depths, label
         iv = _ref_intervals(trace)
