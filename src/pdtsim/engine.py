@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any
 
 from .errors import (
@@ -133,6 +134,7 @@ class Message:
     payload: dict
     sent_tick: int
     deliver: "Decision"  # the one delivery decision for this message
+    slot: int = field(compare=False, repr=False)  # the destination's slot (Simulation.schedulable)
     key: tuple | None = field(default=None, compare=False, repr=False)  # canonical(), cached
 
     def canonical(self) -> tuple:
@@ -324,9 +326,17 @@ class Simulation:
     node's processes by index. That is ProcessRef.sort_key's order, in which
     steps are enumerated, and `_set_procs` indexes the list by position.
 
+    Each destination has a slot: node n is slot n, client c is slot
+    n_nodes + c. `_idle[n]` counts node n's processes without a handler (0
+    once n has crashed), as each client's `inbound` counts the in-flight
+    messages addressed to it; both are kept up to date where handlers start
+    and end and messages are sent and received, so enumerating the choices
+    scans no process pool.
+
     A clone shares only what no run mutates: the config, variant, scenario
     and ProtocolEnv, and the Steps, Messages, Decisions and effects already
-    created. Everything a run changes is copied.
+    created. Everything a run changes is copied, the `_idle` and `inbound`
+    counters too.
     """
 
     def __init__(self, config: SimConfig, variant, scenario, granularity: str = "exact"):
@@ -349,6 +359,7 @@ class Simulation:
             + [_Proc(ProcessRef.node_proc(n, p))
                for n in range(config.n_nodes) for p in range(config.procs_per_node)]
         )
+        self._idle = [config.procs_per_node] * config.n_nodes
         self._crash_choices = [Decision("crash", node=n) for n in range(config.n_nodes)]
         for prog in scenario.transactions:
             ref = ProcessRef.client(prog.client)
@@ -376,6 +387,7 @@ class Simulation:
         sim.steps = list(self.steps)
         sim.inflight = dict(self.inflight)
         sim.crashed = set(self.crashed)
+        sim._idle = list(self._idle)
         sim.decisions_taken = list(self.decisions_taken)
         sim.responses = list(self.responses)
         return sim
@@ -437,12 +449,16 @@ class Simulation:
             self._advance(proc, ret)
             return
         if isinstance(eff, SendMsg):
+            kind, target = eff.dst
+            if kind == "client":
+                self._clients[target].inbound += 1
+                slot = self.config.n_nodes + target
+            else:
+                slot = target
             mid = self.next_msg_id
             msg = Message(mid, h.txn, proc.ref, eff.dst, eff.payload, self.tick,
-                          Decision("deliver", msg=mid))
+                          Decision("deliver", msg=mid), slot)
             self.next_msg_id += 1
-            if eff.dst[0] == "client":
-                self._clients[eff.dst[1]].inbound += 1
             self._log(SEND, proc.ref, h.txn, msgId=msg.msg_id, payload=eff.payload)
             self.inflight[msg.msg_id] = msg
             self._advance(proc, None)
@@ -460,6 +476,8 @@ class Simulation:
                 ))
             else:
                 self._log(RESPONSE, proc.ref, h.txn, outcome=None, readSet=None, writeSet=None)
+                if proc.ref.node is not None:
+                    self._idle[proc.ref.node] += 1
             proc.handler = None
             return
         raise TypeError(f"handler yielded unknown effect {eff!r}")
@@ -488,27 +506,29 @@ class Simulation:
             return proc.ref.kind == "client" and self._client_can_invoke(proc)
         return h.pending is not None or self._timer_expired(h)
 
-    def _deliverable(self, msg: Message) -> bool:
-        kind, target = msg.dst
-        if kind == "node":
-            if target in self.crashed:
-                return False
-            for p in self._node_procs[target]:
-                if p.handler is None:
-                    return True
-            return False
-        h = self._clients[target].handler
-        if h is None:
-            return True  # drained by a degenerate recv+response handler
-        return h.waiting is not None and h.txn == msg.txn
+    def schedulable(self) -> tuple[list[Decision], list[Decision]]:
+        """The enabled steps, in process order, and the enabled deliveries,
+        in msg-id order: enabled_choices() without the crash choices."""
+        steps = [p.step for p in self.procs.values() if self._steppable(p)]
+        # What each destination slot accepts: any message while it has an
+        # idle process (a node) or no handler (a client, whose degenerate
+        # recv+response handler drains a straggler), only its transaction's
+        # while it waits (a client), and nothing else.
+        accepts: list[Any] = [idle > 0 for idle in self._idle]
+        for p in self._clients:
+            h = p.handler
+            accepts.append(True if h is None else h.waiting is not None and h.txn)
+        # Message ids only grow and entries are only ever deleted, so the
+        # dict's insertion order is msg-id order.
+        deliveries = [m.deliver for m in self.inflight.values()
+                      if (a := accepts[m.slot]) is True or a == m.txn]
+        return steps, deliveries
 
     def enabled_choices(self) -> list[Decision]:
         """Exactly: next steps of non-idle processes, deliveries to live
         destinations, and crash decisions while the budget lasts."""
-        out = [p.step for p in self.procs.values() if self._steppable(p)]
-        # Message ids only grow and entries are only ever deleted, so the
-        # dict's insertion order is msg-id order.
-        out += [m.deliver for m in self.inflight.values() if self._deliverable(m)]
+        steps, deliveries = self.schedulable()
+        out = steps + deliveries
         if len(self.crashed) < self.scenario.placement.f:
             out += [d for d in self._crash_choices if d.node not in self.crashed]
         return out
@@ -531,21 +551,16 @@ class Simulation:
             return False  # timer resume; the continuation is unknown
         return isinstance(h.pending, (SendMsg, EmitNote, _Response))
 
-    def overdue_deliveries(self) -> list[Decision]:
-        """Messages that the synchrony rule forces into every choice set."""
-        # A message is overdue once tick >= max(sent_tick, gst) + delta - 1.
+    def overdue(self, d: Decision) -> bool:
+        """Whether the synchrony rule forces an enabled delivery into every
+        choice set: once tick >= max(sent_tick, gst) + delta - 1."""
         last = self.tick + 1 - self.config.delta  # the latest overdue sent tick
-        out: list[Decision] = []
-        if self.config.gst > last:
-            return out
-        # In msg-id order (as in enabled_choices) sent ticks never decrease,
-        # so the overdue messages come first.
-        for msg in self.inflight.values():
-            if msg.sent_tick > last:
-                break
-            if self._deliverable(msg):
-                out.append(msg.deliver)
-        return out
+        return self.config.gst <= last and self.inflight[d.msg].sent_tick <= last
+
+    def overdue_deliveries(self) -> list[Decision]:
+        """The enabled deliveries that are overdue. Sent ticks never decrease
+        in msg-id order, so they are the first ones."""
+        return list(takewhile(self.overdue, self.schedulable()[1]))
 
     def has_armed_timer(self) -> bool:
         return bool(self.armed_timers())
@@ -580,12 +595,22 @@ class Simulation:
     def apply(self, d: Decision) -> None:
         if len(self.decisions_taken) >= MAX_DECISIONS:
             raise RunawayRun(f"run exceeded {MAX_DECISIONS} decisions")
+        # Decisions that no enabled set holds and no later check catches
+        # stop here, before the run changes.
+        if d.t == "step":
+            proc = self.procs.get(d.proc)
+            if proc is None:
+                raise ScheduleStuck(f"decision {d.to_json()} names no process of this run")
+            if proc.handler is None and not proc.queue:
+                raise ScheduleStuck(f"decision {d.to_json()} steps an idle process with nothing to invoke")
+        elif d.t == "crash" and d.node not in self.memories:
+            raise ScheduleStuck(f"decision {d.to_json()} names no node of this run")
         self.decisions_taken.append(d)
         self.tick += 1
         if d.t == "tick":
             return
         if d.t == "step":
-            self._apply_step(self.procs[d.proc])
+            self._apply_step(proc)
         elif d.t == "deliver":
             self._apply_deliver(d)
         elif d.t == "crash":
@@ -627,6 +652,7 @@ class Simulation:
         del self.inflight[msg.msg_id]
         if kind == "node":
             proc = self._pick_node_proc(target)
+            self._idle[target] -= 1
             self._log(RECV, proc.ref, msg.txn, msgId=msg.msg_id, payload=msg.payload)
             gen = self.env.node_handler(target, msg)
             proc.handler = _Handler(gen, msg.txn, coordinator=False, origin=msg)
@@ -661,6 +687,7 @@ class Simulation:
         if len(self.crashed) >= self.scenario.placement.f:
             raise ScheduleStuck(f"crash budget f={self.scenario.placement.f} exhausted")
         self.crashed.add(node)
+        self._idle[node] = 0
         self._log(CRASH, None, None, node=node)
         for proc in self._node_procs[node]:
             if proc.handler is not None:
@@ -809,10 +836,13 @@ class FairPolicy:
     keep their relative order across re-runs."""
 
     def next_decision(self, sim: Simulation) -> Decision | None:
-        overdue = sim.overdue_deliveries()
-        if overdue:
-            return overdue[0]
-        choices = [c for c in sim.enabled_choices() if c.t != "crash"]
+        steps, deliveries = sim.schedulable()
+        # Deliveries come in msg-id order, in which sent ticks never
+        # decrease (a message's sent tick is the tick of its send), so if
+        # any enabled delivery is overdue, the first one is.
+        if deliveries and sim.overdue(deliveries[0]):
+            return deliveries[0]
+        choices = steps + deliveries
         if choices:
             return self.pick(choices)
         if sim.has_armed_timer():

@@ -570,7 +570,12 @@ class TraceIndex:
         recv_of: dict[Any, int] = {}
         for s in steps:
             if s.kind == NOTE and s.tag == "drop":
-                dropped_to[s.data["msgId"]] = s.data["node"]
+                node = s.data["node"]
+                if node not in crashes:
+                    raise MalformedInput(
+                        f"trace step {s.i}: drop note names node {node}, which has no crash step"
+                    )
+                dropped_to[s.data["msgId"]] = node
             elif s.kind == RECV:
                 recv_of[s.msg_id] = s.i
 

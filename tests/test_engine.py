@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from pdtsim import run
 from pdtsim.checkers import check_serializability
 from pdtsim.engine import (
     GRANULARITIES,
+    TICK,
     TIMEOUT,
     Decision,
     FairPolicy,
@@ -24,7 +26,6 @@ from pdtsim.engine import (
     Simulation,
     drive,
     inject_crash,
-    make_policy,
 )
 from pdtsim.errors import AlreadyCrashed, PlacementError, ScheduleStuck
 from pdtsim import explore as explore_module
@@ -200,6 +201,27 @@ def test_engine_guards_raise_under_python_O():
                          capture_output=True, text=True, check=True)
     expected = [_stuck(_late_read_replies), _stuck(_step_while_waiting)]
     assert out.stdout.splitlines() == expected
+
+
+@pytest.mark.parametrize("decision, error", [
+    (Decision("step", proc=ProcessRef.node_proc(0, 0)), "steps an idle process with nothing to invoke"),
+    (Decision("step", proc=ProcessRef.node_proc(9, 0)), "names no process of this run"),
+    (Decision("crash", node=7), "names no node of this run"),
+], ids=["idle-node-process", "unknown-process", "unknown-node"])
+def test_decision_no_enabled_set_holds_changes_nothing(base, decision, error):
+    # Each raised an untyped error (IndexError, KeyError, IndexError), the
+    # crash after it had logged its step and marked node 7 crashed.
+    scen = get_scenario("solo-r1")
+    sim = Simulation(scen.config, base, scen)
+    for _ in range(2):  # the client's invocation and its first send
+        sim.apply(FairPolicy().next_decision(sim))
+    assert sim.procs[ProcessRef.node_proc(0, 0)].handler is None
+    before = (list(sim.steps), set(sim.crashed), list(sim._idle), sim.tick,
+              list(sim.decisions_taken))
+    with pytest.raises(ScheduleStuck) as stuck:
+        sim.apply(decision)
+    assert str(stuck.value) == f"decision {decision.to_json()} {error}"
+    assert (sim.steps, sim.crashed, sim._idle, sim.tick, sim.decisions_taken) == before
 
 
 def test_crash_budget_enforced(base):
@@ -399,35 +421,63 @@ def _reference_overdue(sim):
     return out
 
 
-def _check_enumeration(sim):
-    """Compare the engine's indexed enumeration with the scanning reference."""
-    assert sim.enabled_choices() == _reference_choices(sim)
+def _check_enumeration(sim) -> int:
+    """Compare the engine's indexed enumeration and counters with the
+    scanning reference. Returns how many in-flight messages to a live node
+    are not deliverable: every process of that node is busy."""
+    choices = sim.enabled_choices()
+    assert choices == _reference_choices(sim)
     assert sim.overdue_deliveries() == _reference_overdue(sim)
     for c in range(sim.config.n_clients):
         ref = ProcessRef.client(c)
         fresh = sum(1 for m in sim.inflight.values() if m.dst == ("client", c))
         assert sim.procs[ref].inbound == fresh
+    for n in range(sim.config.n_nodes):
+        fresh = 0 if n in sim.crashed else sum(
+            1 for p in sim.procs.values() if p.ref.node == n and p.handler is None)
+        assert sim._idle[n] == fresh
+    return sum(1 for m in sim.inflight.values()
+               if m.dst[0] == "node" and m.dst[1] not in sim.crashed and m.deliver not in choices)
 
 
 class _CheckedPolicy:
-    """Wraps a policy; checks the enumeration before every decision."""
+    """The fair policy (seed None) or RandomPolicy(seed). Before every
+    decision it checks the enumeration, and it checks the pick against the
+    reference rule: the first overdue delivery if there is one, else the
+    enabled steps and deliveries' first entry (fair) or the entry a twin
+    random.Random(seed) draws, else a tick while a timer is armed."""
 
-    def __init__(self, policy):
-        self.policy = policy
+    def __init__(self, seed: int | None = None):
+        self.policy = FairPolicy() if seed is None else RandomPolicy(seed)
+        self.twin = None if seed is None else random.Random(seed)
         self.checked = 0
+        self.busy = 0  # decisions with a message held back by a busy node
 
     def next_decision(self, sim):
-        _check_enumeration(sim)
+        self.busy += _check_enumeration(sim) > 0
         self.checked += 1
-        return self.policy.next_decision(sim)
+        d = self.policy.next_decision(sim)
+        overdue = _reference_overdue(sim)
+        ref = [c for c in _reference_choices(sim) if c.t != "crash"]
+        if overdue:
+            expected = overdue[0]
+        elif ref:
+            expected = ref[0] if self.twin is None else ref[self.twin.randrange(len(ref))]
+        else:
+            expected = TICK if sim.has_armed_timer() else None
+        assert d == expected
+        return d
 
 
-def _checked_run(scen, variant, schedule):
-    sim = Simulation(scen.config, variant, scen, granularity=schedule.granularity)
-    policy = _CheckedPolicy(make_policy(schedule))
+def _checked_drive(sim, seed: int | None = None) -> _CheckedPolicy:
+    policy = _CheckedPolicy(seed)
     drive(sim, policy)
     assert policy.checked > 0
-    return sim.result()
+    return policy
+
+
+def _checked_run(scen, variant, seed: int | None = None) -> _CheckedPolicy:
+    return _checked_drive(Simulation(scen.config, variant, scen), seed)
 
 
 def _backlog_scenario():
@@ -441,25 +491,58 @@ def _backlog_scenario():
     )
 
 
+def _busy_scenario():
+    # Five nodes with two processes each and twelve transactions from four
+    # clients over overlapping replica groups: a node's processes are often
+    # all busy while more messages to it are in flight.
+    groups = {f"I{n}": [n, (n + 1) % 5, (n + 2) % 5] for n in range(5)}
+    txns = [(f"t{i}", i % 4, [f"I{i % 5}", f"I{(i + 2) % 5}"],
+             [(f"I{(i + 1) % 5}", "always", f"v{i}"), (f"I{(i + 3) % 5}", "always", f"w{i}")])
+            for i in range(12)]
+    return make_scenario({item: None for item in groups}, groups, 3, 1, txns, procs=2)
+
+
 def test_enabled_choices_match_scanning_reference():
     for scen, variant in admitted_pairs():
-        for seed in range(2):
-            _checked_run(scen, variant, Schedule("random", seed=seed))
+        for seed in (None, 0, 1):
+            _checked_run(scen, variant, seed)
     scen = _backlog_scenario()
     for tag in VARIANTS:
         variant = AlgorithmVariant(tag)
         for seed in range(4):
-            _checked_run(scen, variant, Schedule("random", seed=seed))
-        # Half the fair run, a crash, then a seeded completion.
+            _checked_run(scen, variant, seed)
+        # Half the fair run, then a clone. The run crashes node 2 and
+        # completes under seed 7; after it, the clone completes under seed 3.
         fair = run(scen.config, variant, scen, Schedule("fair"))
         sim = Simulation(scen.config, variant, scen)
-        for d in fair.decisions[:len(fair.decisions) // 2] + [Decision("crash", node=2)]:
+        for d in fair.decisions[:len(fair.decisions) // 2]:
             _check_enumeration(sim)
             sim.apply(d)
-        policy = _CheckedPolicy(RandomPolicy(7))
-        drive(sim, policy)
-        assert policy.checked > 0
+        twin = sim.clone()
+        _check_enumeration(sim)
+        sim.apply(Decision("crash", node=2))
+        _checked_drive(sim, 7)
         assert any(s.kind == "crash" for s in sim.steps)
+        _checked_drive(twin, 3)
+        assert not twin.crashed
+    # A no-seamless run whose coordinator times out on the crashed replica,
+    # and a clone of it taken while the timer is armed.
+    scen = scenario_solo(1)
+    sim = Simulation(scen.config, AlgorithmVariant("no-seamless"), scen)
+    sim.apply(Decision("crash", node=2))
+    while not sim.has_armed_timer():
+        _check_enumeration(sim)
+        sim.apply(FairPolicy().next_decision(sim))
+    twin = sim.clone()
+    for s in (sim, twin):
+        _checked_drive(s, None if s is sim else 5)
+        assert any(step.kind == NOTE and step.tag == "timeout" for step in s.steps)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_enabled_choices_match_scanning_reference_on_busy_nodes(seed):
+    policy = _checked_run(_busy_scenario(), AlgorithmVariant("base"), seed)
+    assert policy.busy > 0
 
 
 # SHA-256 over the canonical step JSON of the corpus below, taken before the

@@ -578,6 +578,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("crashed-step", ("drop", {"data": {"msgId": [1], "node": 0}})),
     ("crashed-step", ("drop", {"data": [1]})),
     ("crashed-step", ("prim", {"obj": ["X1.lockS"]})),
+    ("crashed-step", ("drop", {"data": {"msgId": 0, "node": 2}})),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
@@ -587,7 +588,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int",
         "step-syntax-error", "sidecar-syntax-error",
         "send-msgid-list", "recv-msgid-object", "crash-node-list", "drop-msgid-list",
-        "drop-data-list", "prim-obj-list"])
+        "drop-data-list", "prim-obj-list", "drop-node-uncrashed"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     text = document if isinstance(document, str) else json.dumps(document)
@@ -637,7 +638,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
         lines[i] = json.dumps({**records[i], **edit})
         out.write_text("\n".join(lines) + "\n")
         # Each of these died with a TypeError (an unhashable message id,
-        # node or object name) while the fields were untyped.
+        # node or object name) while the fields were untyped, and a drop to
+        # a node that never crashed with "error: 2" (a KeyError).
         for prop in ("dap", "ddap"):
             assert main(["check", "--trace", str(out), "--property", prop]) == 2
             assert capsys.readouterr().err.startswith(f"error: trace step {i}: ")
