@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import groupby, takewhile
 from typing import Any
 
 from .errors import (
@@ -738,6 +738,25 @@ class Simulation:
         is enabled, so how long it has been armed changes nothing that follows
         (see explore.py).
 
+        A coordinator's key leaves out the order of the messages within each
+        run of consecutive receives: the run is one sorted tuple, and each
+        other value sent (the None after a send or note, TIMEOUT) keeps its
+        place between runs. No coordinator can see that order:
+          * it consumes messages only in the WaitRecv loops of
+            protocols._read_phase and protocols._round, and the client slot
+            accepts no message while an effect is pending, so a run is
+            consumed by one loop with no effect between its messages;
+          * those loops keep their replies as a dict keyed by node, read
+            through max(sorted(...)), their refusals and commit votes as
+            sets and the write seqs as a max, and skip a message of another
+            kind or round wherever it comes;
+          * every early exit (quorum met, refusals exhausted, an abort vote)
+            ends the run, since the loop's next value follows a send or a
+            note, or the coordinator returns; so the exit comes with the
+            run's last message in every order that consumes the whole run.
+        So every order that consumes a given run ends in the same state.
+        Node handlers receive no message and keep their sent values in order.
+
         The key is Python's hash() of that tuple, so two distinct states
         share a key only if their tuples collide. Taking hash() as a uniform
         64-bit function, n distinct states collide with probability at most
@@ -815,11 +834,23 @@ class Simulation:
 
 def _handler_key(h: _Handler | None) -> tuple | None:
     """A handler's state for Simulation.fingerprint: txn, origin, sent values
-    and whether a timer is armed, with messages in their canonical form."""
+    and whether a timer is armed, with messages in their canonical form. A
+    coordinator's sent values are segments: each maximal run of received
+    messages as one sorted tuple, and each other value (the None after a
+    send or note, TIMEOUT) in its place between them."""
     if h is None:
         return None
     origin = h.origin.canonical() if type(h.origin) is Message else h.coordinator
-    sent = tuple([v.canonical() if type(v) is Message else v for v in h.sent])
+    if h.coordinator:
+        segments = []
+        for received, values in groupby(h.sent, lambda v: type(v) is Message):
+            if received:
+                segments.append(tuple(sorted([m.canonical() for m in values])))
+            else:
+                segments += values
+        sent = tuple(segments)
+    else:
+        sent = tuple(h.sent)  # node handlers receive no message
     w = h.waiting
     return (h.txn, origin, sent, w is not None and w.timeout is not None)
 

@@ -23,17 +23,27 @@ The reductions:
 
   * invisible steps (invocations, sends, notes, responses) never branch:
     they touch no shared memory and commute with every other choice;
-  * the scheduling unit is a whole handler section ("atomic" granularity):
-    committed read values always correspond to consistent replica states
-    (the lock-free read retries until it sees one), so every reachable
-    committed history is already reachable with handler sections scheduled
-    atomically. Witness schedules carry the granularity, so they replay as
-    explored;
+  * the scheduling unit is a whole handler section ("atomic" granularity).
+    The case for it is argued for the read path only: committed read values
+    always correspond to consistent replica states (the lock-free read
+    retries until it sees one). It does not hold for validation, which
+    checks an item's lockL and only then CASes it: at exact granularity two
+    validations on one node interleave between the check and the CAS and
+    commit a write skew that no atomic run reaches (ROADMAP item 14, pinned
+    by the strict xfails test_no_seamless_random_105_is_serializable and
+    test_weak_ir_exact_exploration_finds_no_violation in
+    tests/test_protocols.py). So the search covers every committed history
+    of atomic runs, not of every run. Witness schedules carry the
+    granularity, so they replay as explored;
   * a visited-state cache (stateful search, as in SPIN): at each frontier
     the run takes the state's fingerprint (Simulation.fingerprint) and looks
     it up. The histories reachable from a state depend only on what the
     fingerprint holds: a handler is a deterministic function of its origin
-    and of the values sent into it; a send returns no message id to its
+    and of the values sent into it; a coordinator cannot see the order of
+    the replies it receives between two of its own effects, since its
+    receive loops keep them as sets, a dict keyed by node and a max and
+    exit only on a run's last message, so its key sorts each such run (see
+    Simulation.fingerprint); a send returns no message id to its
     handler, so ids never enter any state; node processes are
     interchangeable (a node handler depends only on its node and message,
     coordinators read only a sender's node, and a delivery takes any idle

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pdtsim.engine import Decision, EmitNote, PrimOp, SendMsg, SimConfig, Simulation
+from pdtsim.engine import Decision, EmitNote, Message, PrimOp, SendMsg, SimConfig, Simulation, WaitRecv
 from pdtsim.errors import PlacementError
 from pdtsim.memory import NodeMemory
 from pdtsim.model import DataPlacement, ProcessRef, TransactionProgram
@@ -76,6 +76,52 @@ def make_scenario(items, groups, k, f, txns, *, n_nodes=None, procs=2, clients=N
     clients = clients if clients is not None else max((p.client for p in programs), default=0) + 1
     config = SimConfig(n_nodes=n_nodes, procs_per_node=procs, n_clients=clients, gst=gst)
     return Scenario(name, placement, programs, config)
+
+
+def coordinator_effects(env, prog, sent) -> list | None:
+    """Every effect a new coordinator for `prog` yields as `sent` is fed to
+    it, then its return value if it returns. None when the engine could not
+    have sent those values: a message while an effect is pending, or a value
+    after the coordinator returned."""
+    gen, effects = env.coordinator(prog), []
+    for i, value in enumerate(sent):
+        if type(value) is Message and not isinstance(effects[-1], WaitRecv):
+            return None
+        try:
+            effects.append(gen.send(value))
+        except StopIteration as stop:
+            return effects + [stop.value] if i == len(sent) - 1 else None
+    return effects
+
+
+def shuffle_message_runs(values, rng) -> list:
+    """`values` with each maximal run of consecutive Messages shuffled."""
+    out, start = list(values), 0
+    for i in range(len(out) + 1):
+        if i == len(out) or type(out[i]) is not Message:
+            run = out[start:i]
+            rng.shuffle(run)
+            out[start:i] = run
+            start = i + 1
+    return out
+
+
+def check_message_runs_permute(env, prog, sent, rng) -> int:
+    """Re-create the coordinator of `prog` from each prefix of `sent` with
+    its message runs shuffled, feed it the rest of `sent`, and assert that it
+    yields the effects and return value the original order does. A shuffle
+    the engine could not have sent (an early exit moved ahead of the run's
+    other messages) is skipped. Returns how many shuffles moved a message."""
+    want = coordinator_effects(env, prog, sent)
+    assert want is not None
+    moved = 0
+    for cut in range(1, len(sent) + 1):
+        shuffled = shuffle_message_runs(sent[:cut], rng) + sent[cut:]
+        got = coordinator_effects(env, prog, shuffled)
+        if got is not None:
+            assert got == want, (prog.txn_id, cut)
+            moved += any(a is not b for a, b in zip(shuffled, sent))
+    return moved
 
 
 class HandlerHarness:

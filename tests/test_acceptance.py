@@ -171,7 +171,7 @@ def test_c7_exhaustive_exploration(matrix_report):
         assert cell["evidence"].startswith(evidence), tag
         assert cell["pass"] and cell["witness"] is None, tag
     replicated = explore(get_scenario("fids-replicated"), AlgorithmVariant("no-seamless"))
-    assert replicated.complete and replicated.states == 5505
+    assert replicated.complete and replicated.states == 2791
     _ok("7 exploration (base >= 1 violation, complete; all four variants 0)")
 
 

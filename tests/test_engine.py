@@ -20,8 +20,10 @@ from pdtsim.engine import (
     TIMEOUT,
     Decision,
     FairPolicy,
+    Message,
     RandomPolicy,
     Schedule,
+    SendMsg,
     SimConfig,
     Simulation,
     drive,
@@ -35,7 +37,15 @@ from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv
 from pdtsim.scenarios import fids_schedule, get_scenario, scenario_fids, scenario_solo
 from pdtsim.traceio import dumps_canonical
 
-from conftest import EXPLORED_SCENARIOS, Driver, admitted_pairs, make_scenario, terminal_schedules
+from conftest import (
+    EXPLORED_SCENARIOS,
+    Driver,
+    admitted_pairs,
+    check_message_runs_permute,
+    coordinator_effects,
+    make_scenario,
+    terminal_schedules,
+)
 
 
 def _serialize(trace):
@@ -638,7 +648,9 @@ def test_clone_continues_identically():
 # and its terminals were otherwise as when sleep sets first joined the
 # visited-state cache.
 GOLDEN_SCHEDULE_ORDER_SHA256 = "237f55bb049fee29a4a70542acfde6edddc31b963566f8c2c807bb5721a76cf5"
-GOLDEN_EXPLORATION_SHA256 = "dcd24f2693f5075d5c6828fcf7a36759e010319b79068fd323a9a02772b1c2c1"
+# Taken when a coordinator's key stopped holding the order of its replies:
+# within 300 runs fids-replicated/no-fast then reaches 3 histories, not 2.
+GOLDEN_EXPLORATION_SHA256 = "f909e31c40f82db51866d51c54a9cf150b4eab831a2ec6c125b43885fb4ac614"
 GOLDEN_VIOLATION_EXPLORATION_SHA256 = "60aee945754962b87d822045daa998e5a8907ef01e261c3a0dad2f4e66fb3033"
 GOLDEN_MATRIX_JSON_SHA256 = "672abb271a1cba0a1fad954b42551d2fd895af57b0bc7c6215fe63542f4f2b7e"
 # Taken when the search counts moved into the result's "search" object, which
@@ -676,8 +688,8 @@ def _space_json(res, schedules: bool = True) -> str:
     out = res.to_json()
     del out["search"]
     if not schedules:
-        for v in out["violations"]:
-            del v["schedule"]
+        # Copies: to_json shares the result's violation dicts.
+        out["violations"] = [{k: x for k, x in v.items() if k != "schedule"} for v in out["violations"]]
     return dumps_canonical(out)
 
 
@@ -807,6 +819,41 @@ def test_complete_search_covers_random_sampling(complete_fids_searches):
         assert _violating(sampled) <= _violating(res), tag
 
 
+# The facts of every complete space whose search takes at most 0.5 s: the
+# sha256 of its result JSON less the search counts and the violations'
+# schedules. Taken while a coordinator's key still held its replies in the
+# order they arrived; the order-free key reaches the same histories and
+# violations with fewer states.
+COMPLETE_SPACE_FACTS = {
+    ("fids", "base"): "47e7e84056d54d98ca0cf41c5ab3f366509de18c3175139bc14f333ad1421c30",
+    ("fids", "no-fast"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("fids", "weak-ir"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("fids", "no-ddap"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("fids-replicated", "base"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("fids-replicated", "weak-ir"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("fids-replicated", "no-seamless"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("fids-replicated", "no-ddap"): "7cd357c4d30a3a8f497bb6aaa356e4473bb7473eb3fa6ce15f55ce50d51f8f9e",
+    ("solo-r0", "base"): "c851e2b1ea0625d0cd0e352b75887c3f2ba9f0061a728cb77405831553822086",
+    ("solo-r0", "no-fast"): "c851e2b1ea0625d0cd0e352b75887c3f2ba9f0061a728cb77405831553822086",
+    ("solo-r0", "weak-ir"): "c851e2b1ea0625d0cd0e352b75887c3f2ba9f0061a728cb77405831553822086",
+    ("solo-r0", "no-seamless"): "360a7b9086331e1c0e8d171af25645c868d406f9f9a61656e4279bd3d308cfba",
+    ("solo-r0", "no-ddap"): "c851e2b1ea0625d0cd0e352b75887c3f2ba9f0061a728cb77405831553822086",
+}
+
+
+def test_complete_space_facts(complete_fids_searches):
+    """Each complete space's terminal histories and violations, whatever
+    the reductions that reach them."""
+    for (name, tag), want in COMPLETE_SPACE_FACTS.items():
+        if name == "fids":
+            res = complete_fids_searches[tag]
+        else:
+            res = explore_exhaustive(AlgorithmVariant(tag), get_scenario(name))
+        assert res.complete, (name, tag)
+        digest = hashlib.sha256(_space_json(res, schedules=False).encode()).hexdigest()
+        assert digest == want, (name, tag)
+
+
 def test_stored_state_tries_only_the_choices_that_slept_there():
     """A run that meets a stored state stops there if it carries every
     choice that slept when the state was stored. Otherwise it tries only the
@@ -929,6 +976,111 @@ def test_fingerprint_ignores_timer_ages():
     handler = unarmed.procs[timer.proc].handler
     handler.waiting = replace(handler.waiting, timeout=None)
     assert unarmed.fingerprint() != key
+
+
+def _replies_delivered(order) -> Simulation:
+    """fids-replicated at atomic granularity: t1 invokes and sends its reads
+    of X1, nodes 0 and 1 answer, and their replies reach t1 in `order`. The
+    second one meets t1's quorum, so the two form one run of receives."""
+    scen, variant = get_scenario("fids-replicated"), AlgorithmVariant("base")
+    sim = Simulation(scen.config, variant, scen, granularity="atomic")
+    drv = Driver(sim)
+    t1 = ProcessRef.client(0)
+    drv.step(t1)  # the invocation
+    drv.step(t1)  # the read requests
+    for node in (0, 1):
+        drv.run_proc(drv.deliver_where(lambda m, node=node: m.dst == ("node", node)))
+    replies = {m.src.node: m for m in drv.inflight(lambda m: m.dst == ("client", 0))}
+    for node in order:
+        drv.deliver(replies[node].msg_id)
+    return sim
+
+
+def test_coordinator_key_ignores_the_order_of_a_run_of_replies():
+    """A coordinator's key sorts the replies it received between two of its
+    own effects, so both orders of t1's two read replies give one state, one
+    choice key for t1's next step, and the same state after it."""
+    a, b = _replies_delivered((0, 1)), _replies_delivered((1, 0))
+    t1 = a.procs[ProcessRef.client(0)].step
+    assert a.steps[-1].msg_id != b.steps[-1].msg_id
+    assert a.fingerprint() == b.fingerprint()
+    assert a.choice_key(t1) == b.choice_key(t1) is not None
+    a.apply(t1)
+    b.apply(t1)  # the value-learned note, then the validate requests
+    assert a.fingerprint() == b.fingerprint()
+
+
+def _reply_moved_across_the_note(sent: list, i: int) -> None:
+    sent[i + 1], sent[i + 2] = sent[i + 2], sent[i + 1]
+
+
+def _reply_payload_changed(sent: list, i: int) -> None:
+    m = sent[i + 1]
+    sent[i + 1] = replace(m, payload={**m.payload, "body": {**m.payload["body"], "seq": 7}}, key=None)
+
+
+@pytest.mark.parametrize("edit", [_reply_moved_across_the_note, _reply_payload_changed])
+def test_coordinator_key_keeps_each_run_in_place_and_its_replies(edit):
+    """The key keeps a run of replies between the values that bound it, and
+    each reply's content: moving a reply across the note that follows its
+    run, or changing its payload, changes the state."""
+    sim = _replies_delivered((0, 1))
+    t1 = ProcessRef.client(0)
+    sim.apply(Decision("step", proc=t1))  # the note, then the validate requests
+    sent = sim.procs[t1].handler.sent
+    i = next(i for i, v in enumerate(sent) if v is not None)
+    assert [v.payload["kind"] for v in sent[i:i + 2]] == ["readReply", "readReply"]
+    assert sent[i + 2] is None and len(sent) > i + 3
+    edited = sim.clone()
+    edit(edited.procs[t1].handler.sent, i)
+    assert edited.fingerprint() != sim.fingerprint()
+
+
+def _recorded_coordinators(scen, variant, seed: int, crash: int | None = None) -> list:
+    """(program, sent values) of every coordinator of one random exact run,
+    which starts with a crash of node `crash` when one is given."""
+    sim = Simulation(scen.config, variant, scen)
+    if crash is not None:
+        sim.apply(Decision("crash", node=crash))
+    policy, coordinators = RandomPolicy(seed), {}
+    while (d := policy.next_decision(sim)) is not None:
+        sim.apply(d)
+        for p in sim._clients:
+            h = p.handler
+            if h is not None and h.coordinator:
+                # The handler appends to `sent` in place until it returns.
+                coordinators.setdefault(h.txn, (h.origin, h.sent))
+    return list(coordinators.values())
+
+
+def test_coordinator_ignores_the_order_within_a_run_of_replies():
+    """What the coordinator key relies on: re-created from its sent values
+    with each run of received messages shuffled, a coordinator yields what
+    the recorded one yielded for the rest of its run. Coordinators of random
+    runs of fids-replicated under every variant, with abort votes; of
+    rfids/base, whose 2-of-3 quorums leave a reply that comes in during the
+    next round; and of rfids/no-seamless with node 0 crashed, whose
+    validation times out. Read refusals, which random runs do not reach,
+    are checked where test_protocols scripts them."""
+    spaces = [("fids-replicated", tag, None) for tag in VARIANTS]
+    spaces += [("rfids", "base", None), ("rfids", "no-seamless", 0)]
+    rng = random.Random(11)
+    moved = timeouts = stragglers = aborts = 0
+    for name, tag, crash in spaces:
+        scen, variant = get_scenario(name), AlgorithmVariant(tag)
+        env = ProtocolEnv(variant, scen, scen.config)
+        for seed in range(4):
+            for prog, sent in _recorded_coordinators(scen, variant, seed, crash):
+                moved += check_message_runs_permute(env, prog, sent, rng)
+                timeouts += any(v is TIMEOUT for v in sent)
+                expected = None  # the reply kind of the latest request
+                for value, effect in zip(sent, coordinator_effects(env, prog, sent)):
+                    if type(value) is Message:
+                        stragglers += value.payload["kind"] != expected
+                        aborts += value.payload["body"]["vote"] == "abort"
+                    if isinstance(effect, SendMsg):
+                        expected = effect.payload["kind"] + "Reply"
+    assert moved > 100 and timeouts > 0 and stragglers > 0 and aborts > 0
 
 
 def test_timeout_fallback_terminals_replay(monkeypatch):

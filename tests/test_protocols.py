@@ -5,6 +5,8 @@ Handler-level cases drive a single message handler against one node's memory
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pdtsim import explore as explore_module
@@ -18,7 +20,14 @@ from pdtsim.model import ProcessRef, derive_history
 from pdtsim.protocols import VARIANTS, AlgorithmVariant, ProtocolEnv, pmsg
 from pdtsim.scenarios import get_scenario
 
-from conftest import Driver, FakeMsg, HandlerHarness, make_scenario, run_sequential
+from conftest import (
+    Driver,
+    FakeMsg,
+    HandlerHarness,
+    check_message_runs_permute,
+    make_scenario,
+    run_sequential,
+)
 
 
 def _env(scenario, tag="base"):
@@ -281,6 +290,7 @@ def test_read_retries_exhausted_on_two_replicas_aborts(tag):
 
     # The reader learns Y, then reads X on the two locked replicas first.
     drv.run_proc(reader)
+    reader_sent = sim.procs[reader].handler.sent  # appended to until it returns
     for m in drv.inflight(lambda m: m.payload["kind"] == "read"):
         deliver_and_run(m)
     for m in drv.inflight(lambda m: m.payload["kind"] == "readReply"):
@@ -292,6 +302,9 @@ def test_read_retries_exhausted_on_two_replicas_aborts(tag):
     for m in refusals:
         deliver_and_run(m)
     assert sim.procs[reader].handler is None, "the reader decided on the second refusal"
+    # The late Y reply and the two refusals form one run of receives, in
+    # whose every consumable order the reader decides alike.
+    assert check_message_runs_permute(sim.env, scen.transactions[1], reader_sent, random.Random(0)) > 0
     drv.drain_fair()
 
     trace = sim.result().trace
