@@ -22,7 +22,6 @@ from .model import (
     SEND,
     CommittedHistory,
     ExecutionTrace,
-    Step,
     TransactionProgram,
     derive_history,
     happened_before,
@@ -558,40 +557,19 @@ def verify_trace_invariants(trace: ExecutionTrace) -> None:
     """Check the structural invariants every generated trace must satisfy,
     raising InvariantViolation on the first that fails.
 
-    Covers: message integrity, crash finality, happened-before acyclicity,
-    per-item seqNum monotonicity, long-lock safety, lock release by interval
-    end (crash-free traces), read atomicity (when the scenario is attached),
-    decision agreement, weak invisible reads, and the read-delay bound (when
-    f >= 1 and k >= 3). One replay of the base objects serves the seqNum,
-    lock and read-atomicity clauses. Depth along happened-before needs no
-    clause, as `TraceIndex.depths` shows; nor does acyclicity, as
-    `TraceIndex.preds` shows, but `perfbench`'s self-test still requires
-    `happened_before`.
+    Covers: message integrity, crash finality and handler nesting, which
+    `TraceIndex.messages`, `crashes` and `handlers` check as they derive them;
+    happened-before acyclicity, per-item seqNum monotonicity, long-lock safety,
+    lock release by interval end (crash-free traces), read atomicity (when the
+    scenario is attached), decision agreement, weak invisible reads, and the
+    read-delay bound (when f >= 1 and k >= 3). One replay of the base objects
+    serves the seqNum, lock and read-atomicity clauses. Depth along
+    happened-before needs no clause, as `TraceIndex.depths` shows; nor does
+    acyclicity, as `TraceIndex.preds` shows, but `perfbench`'s self-test still
+    requires `happened_before`.
     """
-    # Message integrity: unique matching sends, no double delivery.
-    seen_recv: set[Any] = set()
-    sends: dict[Any, Step] = {}
-    for s in trace.steps:
-        if s.kind == SEND:
-            if s.msg_id in sends:
-                raise InvariantViolation(f"duplicate send msgId {s.msg_id}")
-            sends[s.msg_id] = s
-        elif s.kind == RECV:
-            if s.msg_id not in sends:
-                raise InvariantViolation(f"recv {s.i} has no prior send")
-            if s.msg_id in seen_recv:
-                raise InvariantViolation(f"message {s.msg_id} delivered twice")
-            if sends[s.msg_id].txn != s.txn:
-                raise InvariantViolation("send/recv transaction mismatch")
-            seen_recv.add(s.msg_id)
-
-    # Crash finality.
+    trace.index.messages  # the integrity clauses, before crash finality
     crashes = trace.index.crashes
-    for s in trace.steps:  # a client's node, None, is never a crashed node
-        if s.proc is not None and s.proc.node in crashes and s.i > crashes[s.proc.node]:
-            raise InvariantViolation(
-                f"step {s.i} on node {s.proc.node} after its crash at {crashes[s.proc.node]}"
-            )
 
     # Happened-before is a strict partial order aligned with trace order.
     for (a, b) in happened_before(trace):

@@ -22,7 +22,7 @@ class CrossNodeAccess(PdtsimError):
 
 
 class OrphanStep(PdtsimError):
-    """A message-handler step has no causal origin (no matching send)."""
+    """A depth was asked of a step that belongs to no handler."""
 
 
 class Undecided(PdtsimError):

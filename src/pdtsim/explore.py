@@ -103,6 +103,7 @@ with the search too.
 """
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -152,8 +153,8 @@ class ExplorationResult:
         return {
             "mode": self.mode,
             "complete": self.complete,
-            "terminalHistories": self.terminal_histories,
-            "violations": self.violations,
+            "terminalHistories": list(self.terminal_histories),
+            "violations": copy.deepcopy(self.violations),
             "search": search,
         }
 

@@ -120,9 +120,6 @@ LOSES = {
     NO_DDAP: {"dap", "ddap"},
 }
 EXPECTED_MATRIX = {
-    tag: {
-        prop: prop not in lost
-        for prop in ("serializability", "fast-decision", "weak-ir", "strong-ir", "dap", "ddap", "seamless-ft")
-    }
+    tag: {prop: prop not in lost for prop in ("serializability", *EVIDENCE, "seamless-ft")}
     for tag, lost in LOSES.items()
 }

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .errors import MalformedInput, MalformedResponse, OrphanStep, PlacementError, Undecided
+from .errors import (InvariantViolation, MalformedInput, MalformedResponse, OrphanStep,
+                     PlacementError, Undecided)
 
 # Step kinds as they appear on the wire.
 INVOKE = "invoke"
@@ -177,10 +178,13 @@ class Step:
         proc = ProcessRef.from_json(proc, procs) if proc else None
         if kind != PRIM:
             _check_keyed_fields(kind, fields, i)
-        elif type(fields.get("obj")) is not str:  # the one prim field analysis keys on
+        elif type(fields.get("obj")) is not str:  # the prim fields analysis keys on
             raise MalformedInput(
                 f"trace step {i}: prim field 'obj' must be a string, not {fields.get('obj')!r}"
             )
+        elif fields.get("op") not in ("read", "write", "cas"):
+            raise MalformedInput(f"trace step {i}: prim field 'op' must be one of read, write, "
+                                 f"cas, not {fields.get('op')!r}")
         return Step(i, kind, proc, txn, fields)
 
 
@@ -369,6 +373,16 @@ class ExecutionTrace:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True)
+class Message:
+    """A sent message's send step, its recv step or None, and the crashed
+    node it was dropped at or None."""
+
+    send: int
+    recv: int | None = None
+    dropped_at: int | None = None
+
+
 class TraceIndex:
     """Every derived view of one trace, each computed on first use.
 
@@ -376,7 +390,8 @@ class TraceIndex:
     one index per trace and every checker asks it instead of re-deriving
     handlers, depths, intervals or crashes. Happened-before is answered per
     response by one backward reachability pass (``ancestors``); nothing here
-    holds the full pair set.
+    holds the full pair set. The passes of ``messages``, ``crashes`` and
+    ``handlers`` check the structure they derive.
     """
 
     def __init__(self, steps: list[Step]):
@@ -398,12 +413,15 @@ class TraceIndex:
 
     @cached_property
     def crashes(self) -> dict[int, int]:
-        """Step index of each crashed node's first crash. The engine never
-        crashes a node twice, so it is also the node's only crash."""
+        """Step index of each node's crash (the engine crashes a node at most
+        once); InvariantViolation if a node takes a step after its crash."""
         out: dict[int, int] = {}
         for s in self.steps:
             if s.kind == CRASH:
                 out.setdefault(s.fields["node"], s.i)
+            elif s.proc is not None and s.proc.node in out:  # a client's node, None, never crashes
+                raise InvariantViolation(f"step {s.i} on node {s.proc.node} "
+                                         f"after its crash at {out[s.proc.node]}")
         return out
 
     @cached_property
@@ -444,34 +462,48 @@ class TraceIndex:
         for s in self.steps:
             if s.proc is None:
                 continue
-            if s.kind == INVOKE:
+            if s.kind == INVOKE or (s.kind == RECV and s.proc not in open_handler):
                 open_handler[s.proc] = next_id
                 next_id += 1
-                out[s.i] = open_handler[s.proc]
-            elif s.kind == RECV:
-                if s.proc not in open_handler:
-                    open_handler[s.proc] = next_id
-                    next_id += 1
-                out[s.i] = open_handler[s.proc]
-            elif s.kind == RESPONSE:
+            if s.kind != RESPONSE:
+                out[s.i] = open_handler.get(s.proc)
+            elif s.proc in open_handler:
                 out[s.i] = open_handler.pop(s.proc)
             else:
-                if s.proc in open_handler:
-                    out[s.i] = open_handler[s.proc]
+                raise InvariantViolation(f"response {s.i} closes no open handler")
         return out
 
     @cached_property
-    def send_of(self) -> dict[int, int]:
-        """recv step index -> send step index, by msgId."""
-        sends: dict[Any, int] = {}
-        out: dict[int, int] = {}
-        for s in self.steps:
+    def messages(self) -> dict[Any, Message]:
+        """Each sent message by msgId. InvariantViolation unless each is sent
+        once and received at most once, after its send and in its transaction;
+        then MalformedInput if a drop note names a node with no crash step."""
+        steps = self.steps
+        out: dict[Any, Message] = {}
+        drops: list[Step] = []
+        for s in steps:
             if s.kind == SEND:
-                sends[s.msg_id] = s.i
+                if s.msg_id in out:
+                    raise InvariantViolation(f"duplicate send msgId {s.msg_id}")
+                out[s.msg_id] = Message(s.i)
             elif s.kind == RECV:
-                if s.msg_id not in sends:
-                    raise OrphanStep(f"recv of msgId {s.msg_id} has no matching send")
-                out[s.i] = sends[s.msg_id]
+                m = out.get(s.msg_id)
+                if m is None:
+                    raise InvariantViolation(f"recv {s.i} has no prior send")
+                if m.recv is not None:
+                    raise InvariantViolation(f"message {s.msg_id} delivered twice")
+                if steps[m.send].txn != s.txn:
+                    raise InvariantViolation("send/recv transaction mismatch")
+                m.recv = s.i
+            elif s.kind == NOTE and s.tag == "drop":
+                drops.append(s)
+        for s in drops:
+            node = s.data["node"]
+            if node not in self.crashes:
+                raise MalformedInput(f"trace step {s.i}: drop note names node {node}, "
+                                     "which has no crash step")
+            if s.data["msgId"] in out:
+                out[s.data["msgId"]].dropped_at = node
         return out
 
     @cached_property
@@ -489,8 +521,9 @@ class TraceIndex:
                 if h in last_in_handler:
                     out[s.i].append(last_in_handler[h])
                 last_in_handler[h] = s.i
-        for recv_i, send_i in self.send_of.items():
-            out[recv_i].append(send_i)
+        for m in self.messages.values():
+            if m.recv is not None:
+                out[m.recv].append(m.send)
         return out
 
     def ancestors(self, step_index: int) -> bytearray:
@@ -520,7 +553,7 @@ class TraceIndex:
         depth has no handler, so it can only start or end a path.
         """
         handlers = self.handlers
-        send_of = self.send_of
+        messages = self.messages
         depths: list[int | None] = [None] * len(self.steps)
         handler_max: dict[int, int] = {}
         for s in self.steps:
@@ -531,7 +564,7 @@ class TraceIndex:
             if s.kind == INVOKE:
                 d = 0
             elif s.kind == RECV:
-                sd = depths[send_of[s.i]]
+                sd = depths[messages[s.msg_id].send]
                 d = max(prior, (sd or 0) + 1)
             else:
                 d = prior
@@ -565,20 +598,8 @@ class TraceIndex:
         end of the trace.
         """
         steps = self.steps
+        messages = self.messages
         crashes = self.crashes
-        dropped_to: dict[Any, int] = {}  # msgId -> crashed target node
-        recv_of: dict[Any, int] = {}
-        for s in steps:
-            if s.kind == NOTE and s.tag == "drop":
-                node = s.data["node"]
-                if node not in crashes:
-                    raise MalformedInput(
-                        f"trace step {s.i}: drop note names node {node}, which has no crash step"
-                    )
-                dropped_to[s.data["msgId"]] = node
-            elif s.kind == RECV:
-                recv_of[s.msg_id] = s.i
-
         handlers = self.handlers
         out: dict[str, tuple[int, int]] = {}
         for txn, txn_steps in self.txn_steps.items():
@@ -596,11 +617,12 @@ class TraceIndex:
                 if s.kind == INVOKE and start is None:
                     start = i
                 elif s.kind == SEND:
-                    if s.msg_id in recv_of:
-                        end = max(end, recv_of[s.msg_id])
-                    elif s.msg_id in dropped_to:
+                    m = messages[s.msg_id]
+                    if m.recv is not None:
+                        end = max(end, m.recv)
+                    elif m.dropped_at is not None:
                         # The send stops blocking the interval at the target's crash.
-                        end = max(end, crashes[dropped_to[s.msg_id]], i)
+                        end = max(end, crashes[m.dropped_at], i)
                     else:
                         closed = False
             if start is not None:

@@ -9,7 +9,7 @@ to `engine.drive`, and the recorded decisions become a replayable script.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .engine import (
     ASYNC_GST,
@@ -41,7 +41,12 @@ class Scenario:
             for item in t.data_set():
                 if item not in self.placement.initials:
                     raise PlacementError(f"{t.txn_id} touches unknown item {item!r}")
+            written = set()
             for target, cond, value in t.write_rule:
+                if target in written:
+                    # Commit would install one value and the response report both.
+                    raise PlacementError(f"{t.txn_id} writes {target!r} twice")
+                written.add(target)
                 if cond == "allReadsInitial" and value == self.placement.initials[target]:
                     raise PlacementError(
                         f"{t.txn_id} must write a non-initial value to {target!r}"
@@ -84,126 +89,83 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def scenario_fids() -> Scenario:
-    """Two items sharded on two nodes; each transaction reads one item and,
-    if it saw the initial value, writes the other."""
-    placement = DataPlacement(
-        initials={"X1": BOTTOM, "X2": BOTTOM},
-        groups={"X1": (0,), "X2": (1,)},
-        k=1,
-        f=0,
-    )
+def _fids(name: str, groups: dict[str, tuple[int, ...]], k: int) -> Scenario:
+    """The two FIDS transactions over X1 and X2, placed by ``groups`` on two nodes."""
     txns = [
         TransactionProgram("t1", 0, ["X1"], [("X2", "allReadsInitial", "v2")]),
         TransactionProgram("t2", 1, ["X2"], [("X1", "allReadsInitial", "v1")]),
     ]
+    placement = DataPlacement({"X1": BOTTOM, "X2": BOTTOM}, groups, k=k, f=0)
     config = SimConfig(n_nodes=2, procs_per_node=2, n_clients=2, delta=64, gst=ASYNC_GST)
-    return Scenario("fids", placement, txns, config)
+    return Scenario(name, placement, txns, config)
+
+
+def scenario_fids() -> Scenario:
+    """Two items sharded on two nodes; each transaction reads one item and,
+    if it saw the initial value, writes the other."""
+    return _fids("fids", {"X1": (0,), "X2": (1,)}, k=1)
 
 
 def scenario_fids_replicated() -> Scenario:
     """The same two transactions with both items replicated on both nodes.
     This is the placement the no-seamless variant requires."""
-    placement = DataPlacement(
-        initials={"X1": BOTTOM, "X2": BOTTOM},
-        groups={"X1": (0, 1), "X2": (0, 1)},
-        k=2,
-        f=0,
-    )
-    txns = [
-        TransactionProgram("t1", 0, ["X1"], [("X2", "allReadsInitial", "v2")]),
-        TransactionProgram("t2", 1, ["X2"], [("X1", "allReadsInitial", "v1")]),
-    ]
-    config = SimConfig(n_nodes=2, procs_per_node=2, n_clients=2, delta=64, gst=ASYNC_GST)
-    return Scenario("fids-replicated", placement, txns, config)
+    return _fids("fids-replicated", {"X1": (0, 1), "X2": (0, 1)}, k=2)
+
+
+def _on_three_nodes(name: str, items: Sequence[str], txns: list[TransactionProgram],
+                    gst: int = 0) -> Scenario:
+    """``txns`` over ``items``, every item replicated on nodes 0-2 (k=3,
+    f=1), with a client and a process per node for each transaction."""
+    placement = DataPlacement({i: BOTTOM for i in items}, {i: (0, 1, 2) for i in items}, k=3, f=1)
+    config = SimConfig(n_nodes=3, procs_per_node=len(txns), n_clients=len(txns), delta=64, gst=gst)
+    return Scenario(name, placement, txns, config)
 
 
 RFIDS_ITEMS = ("X1", "X2", "X3")
 
 
-def _rfids_placement() -> DataPlacement:
-    return DataPlacement(
-        initials={i: BOTTOM for i in RFIDS_ITEMS},
-        groups={i: (0, 1, 2) for i in RFIDS_ITEMS},
-        k=3,
-        f=1,
-    )
-
-
-def _rfids_program(i: int) -> TransactionProgram:
+def _rfids_program(i: int, client: int) -> TransactionProgram:
     # T_i reads X_{(i mod 3)+1}; writes X_i if the read returned the initial value.
     read = f"X{(i % 3) + 1}"
-    return TransactionProgram(f"t{i}", i - 1, [read], [(f"X{i}", "allReadsInitial", f"v{i}")])
+    return TransactionProgram(f"t{i}", client, [read], [(f"X{i}", "allReadsInitial", f"v{i}")])
 
 
 def scenario_rfids() -> Scenario:
     """Three items replicated on three nodes; three transactions whose
     read/write sets chain into a cycle."""
-    placement = _rfids_placement()
-    txns = [_rfids_program(i) for i in (1, 2, 3)]
-    config = SimConfig(n_nodes=3, procs_per_node=3, n_clients=3, delta=64, gst=ASYNC_GST)
-    return Scenario("rfids", placement, txns, config)
+    txns = [_rfids_program(i, i - 1) for i in (1, 2, 3)]
+    return _on_three_nodes("rfids", RFIDS_ITEMS, txns, gst=ASYNC_GST)
 
 
 def scenario_rfids_solo(i: int) -> Scenario:
     """Just T_i from the replicated cycle, for the crash-injected solo runs."""
-    placement = _rfids_placement()
-    prog = _rfids_program(i)
-    prog = TransactionProgram(prog.txn_id, 0, prog.read_set, prog.write_rule)
-    config = SimConfig(n_nodes=3, procs_per_node=1, n_clients=1, delta=64, gst=0)
-    return Scenario(f"rfids-solo-{i}", placement, [prog], config)
+    return _on_three_nodes(f"rfids-solo-{i}", RFIDS_ITEMS, [_rfids_program(i, 0)])
 
 
 def scenario_solo(reads: int) -> Scenario:
     """One client transaction with `reads` read items and one written item,
     replicated k=3 f=1, synchronous. Solo depth of the base algorithm on this
     scenario is 2*reads + 2 (one round trip per read, one to validate)."""
-    items = {f"X{j}": BOTTOM for j in range(1, reads + 1)}
-    items["Y"] = BOTTOM
-    placement = DataPlacement(
-        initials=items,
-        groups={i: (0, 1, 2) for i in items},
-        k=3,
-        f=1,
-    )
-    prog = TransactionProgram(
-        "t1", 0, [f"X{j}" for j in range(1, reads + 1)], [("Y", "allReadsInitial", "w")]
-    )
-    config = SimConfig(n_nodes=3, procs_per_node=1, n_clients=1, delta=64, gst=0)
-    return Scenario(f"solo-r{reads}", placement, [prog], config)
+    read_set = [f"X{j}" for j in range(1, reads + 1)]
+    prog = TransactionProgram("t1", 0, read_set, [("Y", "allReadsInitial", "w")])
+    return _on_three_nodes(f"solo-r{reads}", [*read_set, "Y"], [prog])
 
 
 def scenario_disjoint_writers() -> Scenario:
     """Two write-only transactions on disjoint items, replicated everywhere.
     Disjoint data sets make any contention a DAP/DDAP violation."""
-    placement = DataPlacement(
-        initials={"X1": BOTTOM, "X2": BOTTOM},
-        groups={"X1": (0, 1, 2), "X2": (0, 1, 2)},
-        k=3,
-        f=1,
-    )
-    txns = [
+    return _on_three_nodes("disjoint-writers", ["X1", "X2"], [
         TransactionProgram("w1", 0, [], [("X1", "always", "a")]),
         TransactionProgram("w2", 1, [], [("X2", "always", "b")]),
-    ]
-    config = SimConfig(n_nodes=3, procs_per_node=2, n_clients=2, delta=64, gst=0)
-    return Scenario("disjoint-writers", placement, txns, config)
+    ])
 
 
 def scenario_readonly_pair() -> Scenario:
     """A read-only transaction concurrent with a writer on another item."""
-    placement = DataPlacement(
-        initials={"X1": BOTTOM, "X2": BOTTOM},
-        groups={"X1": (0, 1, 2), "X2": (0, 1, 2)},
-        k=3,
-        f=1,
-    )
-    txns = [
+    return _on_three_nodes("readonly-pair", ["X1", "X2"], [
         TransactionProgram("r1", 0, ["X1"], []),
         TransactionProgram("w2", 1, ["X2"], [("X1", "never", None), ("X2", "always", "b")]),
-    ]
-    config = SimConfig(n_nodes=3, procs_per_node=2, n_clients=2, delta=64, gst=0)
-    return Scenario("readonly-pair", placement, txns, config)
+    ])
 
 
 BUILTIN_SCENARIOS = {

@@ -31,7 +31,7 @@ from pdtsim.checkers import (
 from pdtsim.cli import main
 from pdtsim.engine import Decision, Schedule, inject_crash
 from pdtsim.errors import InvariantViolation, PlacementError, ScheduleIncompatible
-from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step, txn_depth
+from pdtsim.model import CommittedHistory, ExecutionTrace, ProcessRef, Step, TraceIndex, txn_depth
 from pdtsim.protocols import AlgorithmVariant
 from pdtsim.scenarios import (
     builtin_schedule,
@@ -619,7 +619,8 @@ def _delete(pred):
 
 
 # One minimal edit per invariant clause, with the message the clause raises
-# and, when it is not base, the variant the trace is recorded under.
+# and, when it is not base, the variant the trace is recorded under. The
+# first six break the structure `TraceIndex` checks as it derives it.
 # The happened-before clause (edges point forward) has no case because it
 # cannot fire: every predecessor in TraceIndex.preds has a smaller index.
 INVARIANT_EDITS = {
@@ -633,6 +634,9 @@ INVARIANT_EDITS = {
         "solo-r0", _set_txn(_is("recv"), "t9"), "send/recv transaction mismatch"),
     "crash-finality": (
         "solo-r0-crash", _move_to(_is("crash"), 1), "step 17 on node 2 after its crash at 1"),
+    # The first recv opens node 0's validate handler.
+    "response-without-handler": (
+        "solo-r0", _delete(_is("recv")), "response 8 closes no open handler"),
     "seqnum-decreased": (
         "solo-r0", _set(_is("prim", op="write", obj="Y.seqNum"), args=[-1]),
         "seqNum decreased at step 33"),
@@ -669,21 +673,39 @@ def test_invariants_catch_one_edit(clause):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("clause", list(INVARIANT_EDITS)[:6])
+def test_check_exits_2_on_a_broken_structure(clause, tmp_path, capsys):
+    # A checker that reads the index meets the suite's structural clauses
+    # first, so it neither passes a broken trace nor leaks an internal error.
+    name, edit, message, *variant = INVARIANT_EDITS[clause]
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(s.to_json()) + "\n" for s in _edited(name, edit, *variant).steps))
+    assert main(["check", "--trace", str(path), "--property", "fast-decision"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # The longest literal piece of each clause's message that no edit can trip.
 # Only the happened-before clause; it goes once nothing needs
 # `happened_before` to be called.
 UNFALSIFIABLE_CLAUSES = {"happened-before edge ("}
 
 
+# The code the suite's clauses are raised from: its own and the index passes
+# that check the structure they derive.
+SUITE_SOURCES = (verify_trace_invariants, TraceIndex.messages.func, TraceIndex.crashes.func,
+                 TraceIndex.handlers.func)
+
+
 def test_every_invariant_clause_has_an_edit():
     # The longest literal piece of each `raise InvariantViolation(...)` message.
     pieces = []
-    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(verify_trace_invariants)))):
-        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                and getattr(node.exc.func, "id", None) == "InvariantViolation"):
-            message = node.exc.args[0]
-            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
-            pieces.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
+    for source in SUITE_SOURCES:
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(source)))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "InvariantViolation"):
+                message = node.exc.args[0]
+                parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+                pieces.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
     assert len(pieces) >= len(INVARIANT_EDITS)
     messages = [message for _, _, message, *_ in INVARIANT_EDITS.values()]
     for piece in pieces:

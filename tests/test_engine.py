@@ -688,8 +688,8 @@ def _space_json(res, schedules: bool = True) -> str:
     out = res.to_json()
     del out["search"]
     if not schedules:
-        # Copies: to_json shares the result's violation dicts.
-        out["violations"] = [{k: x for k, x in v.items() if k != "schedule"} for v in out["violations"]]
+        for v in out["violations"]:
+            del v["schedule"]
     return dumps_canonical(out)
 
 
@@ -716,6 +716,15 @@ def test_golden_violation_exploration(violation_exploration):
     assert len(res.violations) == 1
     digest = hashlib.sha256(_space_json(res).encode()).hexdigest()
     assert digest == GOLDEN_VIOLATION_EXPLORATION_SHA256
+
+
+def test_exploration_json_is_a_fresh_value(violation_exploration):
+    _, _, res = violation_exploration
+    before = res.to_json()
+    out = res.to_json()
+    out["violations"][0]["schedule"].clear()
+    out["terminalHistories"].clear()
+    assert res.to_json() == before and res.violations[0]["schedule"]
 
 
 def test_golden_random_exploration():

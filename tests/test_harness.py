@@ -127,12 +127,12 @@ def test_quorum_intersection_enforced_at_load():
 
 
 def test_orphan_recv_detected():
-    from pdtsim.errors import OrphanStep
+    from pdtsim.errors import InvariantViolation
     from pdtsim.model import ExecutionTrace, ProcessRef, Step, step_depths
 
     n = ProcessRef.node_proc(0, 0)
     steps = [Step(0, "recv", n, "t", {"msgId": 9, "payload": {"kind": "read", "body": {}}})]
-    with pytest.raises(OrphanStep):
+    with pytest.raises(InvariantViolation, match="^recv 0 has no prior send$"):
         step_depths(ExecutionTrace(steps))
 
 
@@ -578,6 +578,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("crashed-step", ("drop", {"data": {"msgId": [1], "node": 0}})),
     ("crashed-step", ("drop", {"data": [1]})),
     ("crashed-step", ("prim", {"obj": ["X1.lockS"]})),
+    ("crashed-step", ("prim", {"op": 7})),
     ("crashed-step", ("drop", {"data": {"msgId": 0, "node": 2}})),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
@@ -588,7 +589,7 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int",
         "step-syntax-error", "sidecar-syntax-error",
         "send-msgid-list", "recv-msgid-object", "crash-node-list", "drop-msgid-list",
-        "drop-data-list", "prim-obj-list", "drop-node-uncrashed"])
+        "drop-data-list", "prim-obj-list", "prim-op-int", "drop-node-uncrashed"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     text = document if isinstance(document, str) else json.dumps(document)
@@ -657,6 +658,22 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
         assert err.startswith("error: trace step 0: "), err
     if command == "sidecar" and isinstance(document, str):
         assert err.startswith("error: trace sidecar: "), err
+
+
+def test_cli_run_rejects_a_transaction_that_writes_one_item_twice(tmp_path, capsys):
+    # Commit installed "a" while the response reported both writes, so the
+    # checker took "b" as t1's write: the sequential run of t1 then t2 failed
+    # serializability with no cycle.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**_SCENARIO, "transactions": [
+        {"txnId": "t1", "client": 0, "readSet": [], "writeRule": [
+            {"target": "X", "condition": "always", "value": "a"},
+            {"target": "X", "condition": "always", "value": "b"}]},
+        {"txnId": "t2", "client": 0, "readSet": ["X"], "writeRule": []},
+    ]}))
+    assert main(["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: t1 writes 'X' twice\n"
 
 
 def _solo_trace_lines(tmp_path, capsys) -> tuple[Path, list[str]]:

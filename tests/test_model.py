@@ -382,8 +382,14 @@ def test_trace_index_matches_fresh_scans(tmp_path):
         for i, preds in enumerate(index.preds):
             for p in preds:
                 assert p < i and index.depths[p] <= index.depths[i], (label, p, i)
-        for recv_i, send_i in index.send_of.items():
-            assert index.depths[recv_i] > index.depths[send_i], (label, send_i, recv_i)
+        sends = {s.msg_id: s.i for s in trace.steps if s.kind == "send"}
+        recvs = {s.msg_id: s.i for s in trace.steps if s.kind == "recv"}
+        drops = {s.data["msgId"]: s.data["node"] for s in trace.steps if s.tag == "drop"}
+        assert {k: (m.send, m.recv, m.dropped_at) for k, m in index.messages.items()} == {
+            k: (i, recvs.get(k), drops.get(k)) for k, i in sends.items()}, label
+        for m in index.messages.values():
+            if m.recv is not None:
+                assert index.depths[m.recv] > index.depths[m.send], (label, m.send, m.recv)
         for txn in trace.txns():
             resp = _ref_response(trace, txn)
             assert trace.coordinator_response(txn) is resp, (label, txn)
