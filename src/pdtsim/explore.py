@@ -13,11 +13,11 @@ ignores the synchrony bound too. The model leaves out spurious timeouts: a
 timer that fires while any other choice is enabled, such as a delivery of
 the reply it waits for. Only no-seamless validation arms a timer, for
 4 * delta ticks (256 by default). On fids-replicated, which allows no
-crash, every explored run stops within 37 decisions, so no timer fires and
-the model states what the engine does. After a crash it lets a timer fire
-once nothing else can happen. A model in which timers fire at any time
-would add every interleaving of a timeout with the other choices to the
-space.
+crash, every explored no-seamless run stops within 37 decisions (those of
+no-fast, which arms no timer, within 51), so no timer fires and the model
+states what the engine does. After a crash it lets a timer fire once
+nothing else can happen. A model in which timers fire at any time would
+add every interleaving of a timeout with the other choices to the space.
 
 The reductions:
 

@@ -174,10 +174,12 @@ class Step:
         txn = fields.pop("txn", None)
         if type(txn) not in _TXN_TYPES:
             raise MalformedInput(f"trace step {i}: 'txn' must be a string or null, not {txn!r}")
-        proc = fields.pop("proc", None)
-        proc = ProcessRef.from_json(proc, procs) if proc else None
+        wire = fields.pop("proc", None)
+        proc = None if wire is None else ProcessRef.from_json(wire, procs)
         if kind != PRIM:
             _check_keyed_fields(kind, fields, i)
+        elif proc is None or proc.node is None:  # a primitive runs on a node's memory
+            raise MalformedInput(f"trace step {i}: a prim step needs a node process, not {wire!r}")
         elif type(fields.get("obj")) is not str:  # the prim fields analysis keys on
             raise MalformedInput(
                 f"trace step {i}: prim field 'obj' must be a string, not {fields.get('obj')!r}"

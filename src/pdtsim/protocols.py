@@ -66,7 +66,6 @@ class ProtocolEnv:
 
     def __init__(self, variant: AlgorithmVariant, scenario, config: SimConfig):
         self.variant = variant
-        self.scenario = scenario
         self.config = config
         self.placement = scenario.placement
         self.all_nodes = list(range(config.n_nodes))

@@ -1,26 +1,21 @@
 """Scenario library: placements, transaction programs, and the builtin
 adversarial schedules that drive the two counterexample executions.
 
-The builtin schedules are not hand-written decision lists; a generator yields
-the decisions of the counterexample phases (run every transaction to the
-brink of learning its read value, then order validation deliveries per node)
-to `engine.drive`, and the recorded decisions become a replayable script.
+The builtin schedules are not hand-written decision lists; a policy delivers
+read traffic first, withholding each transaction's quorum-completing read
+reply, then releases those replies in transaction order, then delivers
+validations in each node's own priority order. `engine.drive` applies its
+decisions, and the recorded decisions become a replayable script.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .engine import (
-    ASYNC_GST,
-    Decision,
-    Schedule,
-    SimConfig,
-    Simulation,
-    drive,
-)
+from .engine import ASYNC_GST, Decision, Message, Schedule, SimConfig, Simulation, drive
 from .errors import PlacementError
-from .model import DataPlacement, ProcessRef, TransactionProgram, json_list, json_object
+from .model import DataPlacement, TransactionProgram, json_list, json_object
 
 BOTTOM = None  # the uninitialized item value
 
@@ -193,137 +188,109 @@ def get_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-class _Yielded:
-    """A drive policy that takes each decision from a generator."""
+class _CounterexamplePolicy:
+    """The priority order of build_counterexample_schedule as a drive policy:
+    like FairPolicy, it picks among the enabled steps and deliveries."""
 
-    def __init__(self, decisions: Iterator[Decision]):
-        self.decisions = decisions
+    def __init__(self, scenario: Scenario, txn_order: list[str],
+                 validate_order: dict[int, list[str]], blocked: Iterable[tuple[str, int]]):
+        self.clients = {t.client for t in scenario.transactions if t.txn_id in txn_order}
+        self.txn_rank = {t: i for i, t in enumerate(txn_order)}
+        self.validate_rank = {node: {t: i for i, t in enumerate(order)}
+                              for node, order in validate_order.items()}
+        self.short = scenario.placement.k - scenario.placement.f - 1  # replies short of a quorum
+        self.blocked = set(blocked)
+        self.replies: Counter[str] = Counter()  # read replies delivered, per transaction
 
     def next_decision(self, sim: Simulation) -> Decision | None:
-        return next(self.decisions, None)
+        steps, deliveries = sim.schedulable()
+        for d in steps:
+            if d.proc.kind == "node" or d.proc.idx in self.clients:
+                return d
+        pending = [m for m in (sim.inflight[d.msg] for d in deliveries)
+                   if (m.txn, m.dst[1] if m.dst[0] == "node" else m.src.node) not in self.blocked]
+        msg = min(pending, key=self.rank, default=None)
+        if msg is None:
+            return None
+        if msg.payload["kind"] == "readReply":
+            self.replies[msg.txn] += 1
+        return msg.deliver
+
+    def rank(self, msg: Message) -> tuple:
+        kind, replies, last = msg.payload["kind"], self.replies[msg.txn], len(self.txn_rank)
+        txn = self.txn_rank.get(msg.txn, last)
+        if kind == "read" or kind == "readReply" and replies < self.short:
+            return (0, msg.msg_id)
+        if kind == "readReply" and replies == self.short:
+            return (1, txn, msg.msg_id)
+        if msg.dst[0] == "node":
+            order = self.validate_rank.get(msg.dst[1], self.txn_rank)
+            return (2, msg.dst[1], order.get(msg.txn, last), msg.msg_id)
+        return (3, txn, msg.msg_id)
 
 
 def build_counterexample_schedule(
-    config: SimConfig,
     variant,
     scenario: Scenario,
     txn_order: list[str],
     validate_order: dict[int, list[str]],
     blocked: Iterable[tuple[str, int]] = (),
 ) -> Schedule:
-    """Drive the two-phase adversarial construction and record it as a script.
+    """Drive the adversarial construction and record it as a script.
 
-    Phase 1 runs every transaction, withholding the quorum-completing read
-    reply, so nobody learns its read value. Phase 2 releases those replies in
-    txn order. The drain phase then delivers node-bound messages per the
-    given per-node transaction priority, running each handler to completion,
-    with (txn, node) pairs in `blocked` never delivered at all; clients
-    receive the rest in txn order. Each delivery is the message's own
-    decision, so a node-bound one goes to the node's first idle process.
+    Each decision steps a node process or a named transaction's client if
+    one can step, the first in process order. Otherwise it delivers the
+    enabled message that ranks lowest:
+
+      1. read requests, and the read replies that leave their transaction
+         short of its k-f quorum, in msg-id order;
+      2. each transaction's deciding read reply, the one that completes its
+         quorum, in txn order;
+      3. node-bound messages, by node, then by the node's transaction
+         priority in `validate_order` (txn order if it has none), then by
+         msg id;
+      4. client-bound messages, in txn order, then by msg id.
+
+    So every transaction runs to the brink of learning its read value, then
+    learns it in txn order and sends its validations, which each node
+    receives in its own order, each handler running to completion. A
+    (txn, node) pair in `blocked` is never delivered; the run ends when
+    nothing is left to take.
     """
-    sim = Simulation(config, variant, scenario, granularity="exact")
+    sim = Simulation(scenario.config, variant, scenario, granularity="exact")
     for t in scenario.transactions:
         if len(t.read_set) != 1:
-            raise PlacementError("counterexample builder expects single-read transactions")
-    client = {t.txn_id: sim.procs[ProcessRef.client(t.client)] for t in scenario.transactions}
-    if missing := [t for t in txn_order if t not in client]:
+            # Rank 2 counts one quorum per transaction.
+            raise PlacementError("counterexample builder expects single-read transactions: "
+                                 f"{t.txn_id} reads {len(t.read_set)} items")
+    named = {t.txn_id for t in scenario.transactions}
+    if missing := [t for t in txn_order if t not in named]:
         raise PlacementError(f"counterexample schedule needs transactions {', '.join(missing)}, "
                              f"which scenario {scenario.name!r} lacks")
-    txn_rank = {t: i for i, t in enumerate(txn_order)}
-    quorum = scenario.placement.k - scenario.placement.f
-    blocked = set(blocked)
-    released = {t: 0 for t in txn_order}  # read replies delivered in phase 1
-
-    def unblocked(msg) -> bool:
-        return (msg.txn, msg.dst[1] if msg.dst[0] == "node" else msg.src.node) not in blocked
-
-    def run_client(t: str) -> Iterator[Decision]:
-        while sim._steppable(client[t]):
-            yield client[t].step
-
-    def run_nodes() -> Iterator[Decision]:
-        # Every node process with work steps once per round, until none has.
-        nodes = [p for p in sim.procs.values() if p.ref.kind == "node"]
-        while work := [p.step for p in nodes if sim._steppable(p)]:
-            yield from work
-
-    def serves_read(msg) -> bool:
-        # Phase 1 delivers read requests, and read replies short of a quorum.
-        if msg.dst[0] == "node":
-            return msg.payload["kind"] == "read"
-        return msg.payload["kind"] == "readReply" and released[msg.txn] < quorum - 1
-
-    def drain_key(msg) -> tuple:
-        # Node-bound messages first, per node in its validation priority;
-        # then client-bound ones in txn order.
-        if msg.dst[0] == "node":
-            order = validate_order.get(msg.dst[1], txn_order)
-            rank = order.index(msg.txn) if msg.txn in order else len(txn_order)
-            return (0, msg.dst[1], rank, msg.msg_id)
-        return (1, txn_rank.get(msg.txn, len(txn_order)), msg.msg_id)
-
-    def phases() -> Iterator[Decision]:
-        # Phase 1: invoke everyone, serve reads, withhold the deciding replies.
-        for t in txn_order:
-            yield from run_client(t)
-        while True:
-            yield from run_nodes()
-            msg = next((m for m in sim.inflight.values() if unblocked(m) and serves_read(m)), None)
-            if msg is None:
-                break
-            yield msg.deliver
-            if msg.dst[0] == "client":
-                released[msg.txn] += 1
-
-        # Phase 2: let each transaction learn its value and send its validations.
-        for t in txn_order:
-            for msg in list(sim.inflight.values()):
-                if (msg.txn == t and msg.dst[0] == "client" and unblocked(msg)
-                        and msg.payload["kind"] == "readReply"):
-                    yield msg.deliver
-                    break
-            yield from run_client(t)
-
-        # Drain: nodes consume messages in the per-node priority order, each
-        # handler running to completion; clients receive in send order.
-        while True:
-            yield from run_nodes()
-            taken = len(sim.decisions_taken)
-            for t in txn_order:
-                yield from run_client(t)
-            if len(sim.decisions_taken) == taken:
-                pending = [m for m in sim.inflight.values() if unblocked(m)]
-                msg = min(pending, key=drain_key, default=None)
-                if msg is None:
-                    return
-                yield msg.deliver
-
-    drive(sim, _Yielded(phases()))
+    drive(sim, _CounterexamplePolicy(scenario, txn_order, validate_order, blocked))
     return Schedule("scripted", list(sim.decisions_taken), granularity="exact")
 
 
-def fids_schedule(variant, scenario: Scenario | None = None) -> Schedule:
-    scenario = scenario or scenario_fids()
+def fids_schedule(variant, scenario: Scenario) -> Schedule:
     return build_counterexample_schedule(
-        scenario.config, variant, scenario,
+        variant, scenario,
         txn_order=["t1", "t2"],
         validate_order={0: ["t1", "t2"], 1: ["t2", "t1"]},
     )
 
 
-def rfids_schedule(variant, scenario: Scenario | None = None) -> Schedule:
+def rfids_schedule(variant, scenario: Scenario) -> Schedule:
     # Node i never talks to t_{i+1}'s handlers; write order per node follows
     # the replicated-cycle construction.
-    scenario = scenario or scenario_rfids()
     return build_counterexample_schedule(
-        scenario.config, variant, scenario,
+        variant, scenario,
         txn_order=["t1", "t2", "t3"],
         validate_order={0: ["t2", "t3"], 1: ["t3", "t1"], 2: ["t1", "t2"]},
         blocked={("t1", 0), ("t2", 1), ("t3", 2)},
     )
 
 
-def builtin_schedule(name: str, variant, scenario: Scenario | None = None) -> Schedule:
+def builtin_schedule(name: str, variant, scenario: Scenario) -> Schedule:
     key = name.removeprefix("builtin:")
     if key == "fids":
         return fids_schedule(variant, scenario)

@@ -580,6 +580,11 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
     ("crashed-step", ("prim", {"obj": ["X1.lockS"]})),
     ("crashed-step", ("prim", {"op": 7})),
     ("crashed-step", ("drop", {"data": {"msgId": 0, "node": 2}})),
+    # The process of the first non-trivial prim, and the error it gets.
+    ("prim-proc", (None, "trace step 39: a prim step needs a node process, not None")),
+    ("prim-proc", ({}, "malformed process {}")),
+    ("prim-proc", ({"kind": "client", "node": None, "idx": 0}, "trace step 39: a prim step "
+                   "needs a node process, not {'kind': 'client', 'node': None, 'idx': 0}")),
 ], ids=["crash-node-str", "deliver-msg-list", "step-proc-list", "step-proc-node-list",
         "unknown-kind", "decisions-int", "seed-str", "schedule-list", "tolerant-str", "scenario-list",
         "transactions-int", "item-int", "placement-list", "k-str", "sim-delta-str",
@@ -589,7 +594,8 @@ _RESPONSE = {"i": 0, "kind": "response", "proc": None, "txn": "t1", "outcome": "
         "step-i-str", "step-i-moved", "step-kind-unknown", "step-txn-int",
         "step-syntax-error", "sidecar-syntax-error",
         "send-msgid-list", "recv-msgid-object", "crash-node-list", "drop-msgid-list",
-        "drop-data-list", "prim-obj-list", "prim-op-int", "drop-node-uncrashed"])
+        "drop-data-list", "prim-obj-list", "prim-op-int", "drop-node-uncrashed",
+        "prim-proc-null", "prim-proc-empty", "prim-proc-client"])
 def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
     path = tmp_path / "input.json"
     text = document if isinstance(document, str) else json.dumps(document)
@@ -645,6 +651,21 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys, command, document):
             assert main(["check", "--trace", str(out), "--property", prop]) == 2
             assert capsys.readouterr().err.startswith(f"error: trace step {i}: ")
         argv = ["check", "--trace", str(out), "--property", "weak-progress"]
+    elif command == "prim-proc":
+        assert main(["run", "--scenario", "solo-r1", "--algorithm", "base", "--schedule", "fair",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        proc, error = document
+        lines = out.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        i = next(r["i"] for r in records if r.get("nontrivial"))
+        lines[i] = json.dumps({**records[i], "proc": proc})
+        out.write_text("\n".join(lines) + "\n")
+        # strong-ir died with an AttributeError (a null process, and {} read
+        # as null) or a TypeError (a client process).
+        assert main(["check", "--trace", str(out), "--property", "strong-ir"]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        argv = ["check", "--trace", str(out), "--property", "serializability"]
     elif command == "scenario":
         argv = ["run", "--scenario", str(path), "--algorithm", "base", "--schedule", "fair",
                 "--out", str(out)]
@@ -802,4 +823,11 @@ def test_cli_run_rejects_builtin_schedule_mismatch(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: counterexample schedule needs transactions t3, which scenario 'fids' lacks\n"
+    )
+    # The builder counts one read quorum per transaction.
+    code = main(["run", "--scenario", "solo-r2", "--algorithm", "base",
+                 "--schedule", "builtin:fids", "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: counterexample builder expects single-read transactions: t1 reads 2 items\n"
     )

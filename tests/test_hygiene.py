@@ -1,7 +1,8 @@
 """Source hygiene of the package: no unused imports (in its tests too), no
 unreferenced private module-level functions or classes, and no class field
-that nothing reads, so a deletion leaves no stragglers behind; and no
-`assert` statement, since `python -O` strips them and a guard must raise."""
+that nothing reads, so a deletion leaves no stragglers behind; no
+`assert` statement, since `python -O` strips them and a guard must raise;
+and no module that reads another's private names."""
 from __future__ import annotations
 
 import ast
@@ -92,3 +93,33 @@ def test_no_assert_statements():
         for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _defined_names(tree: ast.AST) -> set[str]:
+    """Every name a module defines: functions, classes, methods, assigned
+    names and the attributes it assigns."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    """An attribute `x._name` in the package names something its own
+    module defines, so a module's private names are free to change."""
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        own = _defined_names(tree)
+        foreign += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__") and node.attr not in own
+        ]
+    assert foreign == []
